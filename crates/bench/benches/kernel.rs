@@ -6,8 +6,7 @@
 //! quantity. Set `GVC_PERF_SNAPSHOT_DIR` to also drop a snapshot.
 
 use criterion::{criterion_group, Criterion, Throughput};
-use gvc_bench::perfsuite::{emit_snapshot_for_bench, kernel_schedule_pop, sharded_sim};
-use gvc_gridftp::Shards;
+use gvc_bench::perfsuite::{emit_snapshot_for_bench, kernel_schedule_pop};
 
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
@@ -20,28 +19,11 @@ fn bench_event_queue(c: &mut Criterion) {
     g.finish();
 }
 
-// The sharded-kernel workload at shard counts 1 and auto: same
-// byte-identical output, different wall clock. Elements = transfers.
-fn bench_sharded_sim(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sharded_sim");
-    let sessions = 40usize;
-    g.throughput(Throughput::Elements(sessions as u64 * 4 * 3));
-    g.bench_function("shards_1", |b| {
-        b.iter(|| sharded_sim(sessions, Shards::Fixed(1)));
-    });
-    g.bench_function("shards_auto", |b| {
-        b.iter(|| sharded_sim(sessions, Shards::Auto));
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_event_queue, bench_sharded_sim);
+criterion_group!(benches, bench_event_queue);
 
 fn main() {
     benches();
-    for name in ["kernel", "shard"] {
-        if let Some(path) = emit_snapshot_for_bench(name) {
-            println!("wrote perf snapshot {}", path.display());
-        }
+    if let Some(path) = emit_snapshot_for_bench("kernel") {
+        println!("wrote perf snapshot {}", path.display());
     }
 }

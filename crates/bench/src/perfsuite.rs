@@ -12,19 +12,16 @@
 use gvc_core::sessions::group_sessions;
 use gvc_core::sweep::SessionStore;
 use gvc_engine::{EventQueue, SimTime};
-use gvc_gridftp::{Driver, ServerCaps, SessionSpec, Shards, TransferJob};
 use gvc_logs::{Dataset, TransferRecord, TransferType};
-use gvc_net::NetworkSim;
 use gvc_scenario::{run_scenario, ScenarioSpec};
 use gvc_telemetry::parse_trace;
 use gvc_telemetry::perf::{measure_throughput, median, BenchMetric, PerfSnapshot};
 use gvc_tidy::{run_sources, RuleSet};
-use gvc_topology::{study_topology, Site};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// The snapshot names `gvc perf snapshot` produces, in emission order.
-pub const SNAPSHOT_NAMES: &[&str] = &["kernel", "sweep", "analysis", "shard", "tidy", "scenario"];
+pub const SNAPSHOT_NAMES: &[&str] = &["kernel", "sweep", "analysis", "tidy", "scenario"];
 
 /// The committed `esnet-backbone` scenario spec, embedded so the
 /// snapshot measures exactly the workload the golden corpus gates
@@ -139,36 +136,12 @@ pub fn parse_trace_lines(text: &str) -> u64 {
     parse_trace(text).map_or(0, |records| records.len() as u64)
 }
 
-/// The sharded-kernel workload: `sessions_per_pair` four-job sessions
-/// on each of three hub-local disjoint site pairs (so the lane
-/// partition genuinely splits into three lanes), run end to end
-/// through the full driver at the given shard setting. Returns the
-/// number of transfers logged. The kernel's determinism contract
-/// makes the output byte-identical at every shard count, so the
-/// serial/auto metric pair measures pure wall-clock speedup.
-pub fn sharded_sim(sessions_per_pair: usize, shards: Shards) -> u64 {
-    let topo = study_topology();
-    let pairs = [(Site::Nersc, Site::Slac), (Site::Ornl, Site::Nics), (Site::Anl, Site::Bnl)];
-    let mut d = Driver::new(NetworkSim::new(topo.graph.clone(), 0), 97);
-    for (i, &(a, b)) in pairs.iter().enumerate() {
-        let src = d.register_cluster(&format!("src{i}"), topo.dtn(a), ServerCaps::default(), 2);
-        let dst = d.register_cluster(&format!("dst{i}"), topo.dtn(b), ServerCaps::default(), 2);
-        for s in 0..sessions_per_pair {
-            let jobs = vec![TransferJob { size_bytes: 64 << 20, ..TransferJob::default() }; 4];
-            let start = SimTime::from_secs(s as u64 * 120 + i as u64);
-            d.schedule_session(start, src, dst, SessionSpec::sequential(jobs, 1.0));
-        }
-    }
-    let out = d.run_sharded(SimTime::from_secs(100_000_000), shards);
-    out.log.len() as u64
-}
-
 /// One full scenario run through the corpus runner (spec topology,
 /// synthetic workload, faults, telemetry, flight recorder, golden
 /// serialization); returns the number of transfers produced, 0 on a
 /// run error (snapshot values then read as an obvious regression).
-pub fn scenario_transfers(spec: &ScenarioSpec, shards: Shards) -> u64 {
-    run_scenario(spec, shards).map_or(0, |o| {
+pub fn scenario_transfers(spec: &ScenarioSpec) -> u64 {
+    run_scenario(spec).map_or(0, |o| {
         std::hint::black_box(o.report_json.len() + o.timeline_json.map_or(0, |t| t.len()));
         o.report.n_transfers as u64
     })
@@ -245,8 +218,7 @@ fn throughput_metric(id: &str, unit: &str, items: u64, samples: Vec<f64>) -> Ben
 ///
 /// Standard sizes at `scale = 1.0`: kernel 200k events, sweep 200k
 /// records × the 8×4 grid, analysis 50k trace lines + 100k records,
-/// shard 160 sessions × 4 transfers × 3 lanes at shard counts 1 and
-/// auto, tidy 120 synthetic source files through the full v2 engine,
+/// tidy 120 synthetic source files through the full v2 engine,
 /// scenario one full `esnet-backbone` corpus run (scale-independent).
 pub fn run_snapshot(name: &str, reps: u64, scale: f64) -> Option<PerfSnapshot> {
     let mut snap = PerfSnapshot::new(name, reps);
@@ -298,26 +270,6 @@ pub fn run_snapshot(name: &str, reps: u64, scale: f64) -> Option<PerfSnapshot> {
                 rates,
             ));
         }
-        "shard" => {
-            // Lighter clamp than `scaled`: each unit is a whole
-            // four-transfer session through the full driver.
-            let sessions = ((160.0 * scale).round() as usize).max(2);
-            let (items, rates) =
-                measure_throughput(reps, || sharded_sim(sessions, Shards::Fixed(1)));
-            snap.metrics.push(throughput_metric(
-                "shard.sim.serial.transfers_per_sec",
-                "transfers/sec",
-                items,
-                rates,
-            ));
-            let (items, rates) = measure_throughput(reps, || sharded_sim(sessions, Shards::Auto));
-            snap.metrics.push(throughput_metric(
-                "shard.sim.auto.transfers_per_sec",
-                "transfers/sec",
-                items,
-                rates,
-            ));
-        }
         "tidy" => {
             let files = scaled(120, scale);
             let sources = synth_tidy_corpus(files);
@@ -335,8 +287,7 @@ pub fn run_snapshot(name: &str, reps: u64, scale: f64) -> Option<PerfSnapshot> {
             // the cost of the run the golden gate re-executes on
             // every PR.
             let spec = ScenarioSpec::parse(ESNET_BACKBONE_SCN).ok()?;
-            let (items, rates) =
-                measure_throughput(reps, || scenario_transfers(&spec, Shards::Auto));
+            let (items, rates) = measure_throughput(reps, || scenario_transfers(&spec));
             snap.metrics.push(throughput_metric(
                 "scenario.run.transfers_per_sec",
                 "transfers/sec",
@@ -409,11 +360,5 @@ mod tests {
     fn trace_workload_parses_every_line() {
         let text = synth_trace_jsonl(500);
         assert_eq!(parse_trace_lines(&text), 500);
-    }
-
-    #[test]
-    fn shard_workload_logs_every_transfer_at_any_shard_count() {
-        assert_eq!(sharded_sim(2, Shards::Fixed(1)), 24);
-        assert_eq!(sharded_sim(2, Shards::Auto), 24);
     }
 }

@@ -50,6 +50,12 @@ impl ParsedArgs {
         }
     }
 
+    /// Numeric flag with default, which must be finite and in `range`:
+    /// `inf`, `NaN` and out-of-range values are errors naming the flag.
+    pub fn num_flag_or(&self, flag: &str, default: f64, range: Range) -> Result<f64, CliError> {
+        range.check(flag, self.flag_or(flag, default)?)
+    }
+
     /// String flag with default.
     pub fn str_flag_or<'a>(&'a self, flag: &str, default: &'a str) -> &'a str {
         self.flags.get(flag).map_or(default, String::as_str)
@@ -58,6 +64,31 @@ impl ParsedArgs {
     /// Whether a boolean `--flag` switch was given.
     pub fn bool_flag(&self, flag: &str) -> bool {
         self.flags.contains_key(flag)
+    }
+}
+
+/// The values a numeric flag accepts; every range excludes `inf` and
+/// `NaN`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Range {
+    /// Finite and `> 0`.
+    Positive,
+    /// Finite and `>= 0`.
+    NonNegative,
+}
+
+impl Range {
+    /// `v` when it lies in this range, else an error naming `--flag`.
+    pub fn check(self, flag: &str, v: f64) -> Result<f64, CliError> {
+        let (ok, what) = match self {
+            Range::Positive => (v > 0.0, "positive"),
+            Range::NonNegative => (v >= 0.0, "non-negative"),
+        };
+        if ok && v.is_finite() {
+            Ok(v)
+        } else {
+            Err(CliError(format!("--{flag} must be a finite {what} number, got {v}")))
+        }
     }
 }
 
@@ -111,6 +142,22 @@ mod tests {
     fn bad_flag_value_errors() {
         let p = parse(&["x", "--gap", "soon"]);
         assert!(p.flag_or::<f64>("gap", 0.0).is_err());
+    }
+
+    #[test]
+    fn ranges_reject_non_finite_values() {
+        assert_eq!(Range::Positive.check("x", 2.5), Ok(2.5));
+        assert_eq!(Range::NonNegative.check("x", 0.0), Ok(0.0));
+        for v in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+            let e = Range::Positive.check("scale", v).unwrap_err();
+            assert!(e.0.contains("--scale must be a finite positive number"), "{}", e.0);
+        }
+        for v in [-1.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert!(Range::NonNegative.check("gap", v).is_err(), "{v}");
+        }
+        let p = parse(&["x", "--gap", "inf"]);
+        assert!(p.num_flag_or("gap", 60.0, Range::NonNegative).is_err());
+        assert_eq!(p.num_flag_or("setup", 60.0, Range::Positive), Ok(60.0));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The `gvc` command-line tool: GridFTP usage-log analysis and
 //! synthetic dataset generation from the shell.
 
-use gvc_cli::{parse_flags, run_command, COMMANDS};
+use gvc_cli::{parse_flags, run_command, COMMANDS, GLOBAL_FLAGS};
 
 // Feature-gated counting allocator: `--features perf-alloc` makes the
 // `--perf` report include allocation counts. Off by default — the
@@ -17,12 +17,9 @@ fn usage() {
         eprintln!("  {usage:<64} {desc}");
     }
     eprintln!("\nglobal flags (any command):");
-    eprintln!("  {:<64} write structured JSONL trace events", "--trace <path>");
-    eprintln!("  {:<64} print the metric exposition after the command", "--metrics");
-    eprintln!("  {:<64} write the metric exposition to a file", "--metrics-out <path>");
-    eprintln!("  {:<64} print a host-performance report (phases, RSS)", "--perf");
-    eprintln!("  {:<64} write the host-performance report to a file", "--perf-out <path>");
-    eprintln!("  {:<64} record sim-time windowed series to a file", "--timeline <path>");
+    for (flag, desc) in GLOBAL_FLAGS {
+        eprintln!("  {flag:<64} {desc}");
+    }
 }
 
 fn main() {

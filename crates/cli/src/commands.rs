@@ -1,6 +1,6 @@
 //! The `gvc` subcommands.
 
-use crate::args::{CliError, ParsedArgs};
+use crate::args::{CliError, ParsedArgs, Range};
 use gvc_core::gap_sensitivity::gap_sensitivity;
 use gvc_core::sessions::group_sessions;
 use gvc_core::sweep::SessionStore;
@@ -8,7 +8,7 @@ use gvc_core::vc_suitability::vc_suitability;
 use gvc_core::ResilienceSummary;
 use gvc_engine::SimTime;
 use gvc_faults::FaultPlan;
-use gvc_gridftp::{Driver, ServerCaps, SessionSpec, Shards, TransferJob, VcRequestSpec};
+use gvc_gridftp::{Driver, ServerCaps, SessionSpec, TransferJob, VcRequestSpec};
 use gvc_logs::anonymize::{anonymize_dataset, AnonymizePolicy};
 use gvc_logs::{parse_dataset, write_dataset, Dataset};
 use gvc_net::NetworkSim;
@@ -39,7 +39,7 @@ pub const COMMANDS: [(&str, &str, &str); 12] = [
     ),
     (
         "generate",
-        "gvc generate <ncar|slac|anl|ornl> <out> [--scale 0.1] [--seed 42]",
+        "gvc generate <ncar|slac|anl|ornl> <out> [--scale 0.1] [--seed 42] [--dir scenarios]",
         "synthesize a calibrated dataset",
     ),
     (
@@ -49,7 +49,7 @@ pub const COMMANDS: [(&str, &str, &str); 12] = [
     ),
     (
         "simulate",
-        "gvc simulate <out> [--seed 42] [--jobs 6] [--horizon 100000] [--faults <spec>] [--shards auto|N]",
+        "gvc simulate <out> [--seed 42] [--jobs 6] [--horizon 100000] [--faults <spec>]",
         "run the GridFTP-over-VC simulation and write its usage log",
     ),
     (
@@ -59,12 +59,14 @@ pub const COMMANDS: [(&str, &str, &str); 12] = [
     ),
     (
         "perf",
-        "gvc perf <snapshot|diff|gate> [--out-dir <dir>] [--tolerance 0.15] [--threshold 2.0]",
+        "gvc perf <snapshot|diff|gate> [--out-dir <dir>] [--reps 5] [--scale 1.0] \
+         [--only <suites>] [--tolerance 0.15] [--baseline-dir .] [--candidate-dir <dir>] \
+         [--threshold 2.0] [--json]",
         "host-performance snapshots, diffs, and the regression gate",
     ),
     (
         "scenario",
-        "gvc scenario <run|record|diff|list> [name] [--dir scenarios] [--all] [--shards auto|N]",
+        "gvc scenario <run|record|diff|list> [name] [--dir scenarios] [--all]",
         "run declarative scenario specs against committed goldens",
     ),
     (
@@ -74,11 +76,47 @@ pub const COMMANDS: [(&str, &str, &str); 12] = [
     ),
     (
         "serve-metrics",
-        "gvc serve-metrics [--listen 127.0.0.1:0] [--seed 42] [--jobs 4] [--faults <spec>] \
-         [--max-requests N] [--addr-file <path>]",
+        "gvc serve-metrics [--listen 127.0.0.1:0] [--seed 42] [--jobs 4] [--horizon 100000] \
+         [--faults <spec>] [--max-requests N] [--addr-file <path>]",
         "run the simulation with a live /metrics and /timeline.json endpoint",
     ),
 ];
+
+/// `(usage, description)` for the observability flags every command
+/// accepts on top of its own.
+pub const GLOBAL_FLAGS: [(&str, &str); 6] = [
+    ("--trace <path>", "write structured JSONL trace events"),
+    ("--metrics", "print the metric exposition after the command"),
+    ("--metrics-out <path>", "write the metric exposition to a file"),
+    ("--perf", "print a host-performance report (phases, RSS)"),
+    ("--perf-out <path>", "write the host-performance report to a file"),
+    ("--timeline <path>", "record sim-time windowed series to a file"),
+];
+
+/// The flag names a usage string mentions, without the leading `--`.
+fn usage_flags(usage: &str) -> impl Iterator<Item = &str> {
+    usage.split("--").skip(1).map(|rest| {
+        let end =
+            rest.find(|c: char| !(c.is_ascii_alphanumeric() || c == '-')).unwrap_or(rest.len());
+        &rest[..end]
+    })
+}
+
+/// Rejects any flag that neither `command`'s usage string nor
+/// [`GLOBAL_FLAGS`] names, so a mistyped or retired flag fails instead
+/// of being silently ignored. Unknown commands pass through to the
+/// dispatcher's own error.
+fn check_flags(command: &str, a: &ParsedArgs) -> Result<(), CliError> {
+    let Some((_, usage, _)) = COMMANDS.iter().find(|(name, _, _)| *name == command) else {
+        return Ok(());
+    };
+    let accepted: Vec<&str> =
+        usage_flags(usage).chain(GLOBAL_FLAGS.iter().flat_map(|(u, _)| usage_flags(u))).collect();
+    match a.flags.keys().find(|flag| !accepted.contains(&flag.as_str())) {
+        Some(flag) => Err(CliError(format!("{command} does not take --{flag} (usage: {usage})"))),
+        None => Ok(()),
+    }
+}
 
 /// Canonical argv reconstruction: positionals in order then sorted
 /// `--flag=value` pairs, the string the manifest digest covers.
@@ -179,11 +217,8 @@ fn cmd_summary<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
 }
 
 fn cmd_sessions<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
+    let gap = a.num_flag_or("gap", 60.0, Range::NonNegative)?;
     let ds = load(a.positional(1, "log")?)?;
-    let gap: f64 = a.flag_or("gap", 60.0)?;
-    if gap < 0.0 {
-        return Err(CliError("--gap must be non-negative".into()));
-    }
     let g = group_sessions(&ds, gap);
     writeln!(w, "gap parameter g = {gap} s")?;
     writeln!(
@@ -219,13 +254,10 @@ fn cmd_sessions<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
 }
 
 fn cmd_suitability<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
+    let gap = a.num_flag_or("gap", 60.0, Range::NonNegative)?;
+    let setup = a.num_flag_or("setup", 60.0, Range::Positive)?;
+    let factor = a.num_flag_or("factor", 10.0, Range::Positive)?;
     let ds = load(a.positional(1, "log")?)?;
-    let gap: f64 = a.flag_or("gap", 60.0)?;
-    let setup: f64 = a.flag_or("setup", 60.0)?;
-    let factor: f64 = a.flag_or("factor", 10.0)?;
-    if setup <= 0.0 || factor <= 0.0 {
-        return Err(CliError("--setup and --factor must be positive".into()));
-    }
     let grouping = group_sessions(&ds, gap);
     let v = vc_suitability(&grouping, &ds, setup, factor);
     writeln!(w, "g = {gap} s, setup delay = {setup} s, overhead factor = {factor}")?;
@@ -247,35 +279,29 @@ fn cmd_suitability<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> 
     Ok(())
 }
 
-/// Parses a comma-separated `--flag` list of floats, e.g.
-/// `--gaps 0,60,120`; returns `default` when the flag is absent.
+/// Parses a non-empty comma-separated `--flag` list of finite
+/// non-negative floats, e.g. `--gaps 0,60,120`; returns `default`
+/// when the flag is absent.
 fn list_flag_or(a: &ParsedArgs, name: &str, default: &[f64]) -> Result<Vec<f64>, CliError> {
-    match a.flags.get(name) {
-        None => Ok(default.to_vec()),
-        Some(raw) => raw
-            .split(',')
-            .map(|s| {
-                let s = s.trim();
-                s.parse::<f64>().map_err(|_| CliError(format!("--{name}: {s:?} is not a number")))
-            })
-            .collect(),
-    }
+    let Some(raw) = a.flags.get(name) else {
+        return Ok(default.to_vec());
+    };
+    raw.split(',')
+        .map(|s| {
+            let s = s.trim();
+            let v = s
+                .parse::<f64>()
+                .map_err(|_| CliError(format!("--{name}: {s:?} is not a number")))?;
+            Range::NonNegative.check(name, v)
+        })
+        .collect()
 }
 
 fn cmd_sweep<W: Write>(a: &ParsedArgs, w: &mut W, telemetry: &Telemetry) -> Result<(), CliError> {
-    let ds = load(a.positional(1, "log")?)?;
     let gaps = list_flag_or(a, "gaps", &[0.0, 60.0, 120.0])?;
     let delays = list_flag_or(a, "delays", &[60.0, 0.05])?;
-    let factor: f64 = a.flag_or("factor", 10.0)?;
-    if gaps.is_empty() || gaps.iter().any(|g| !g.is_finite() || *g < 0.0) {
-        return Err(CliError("--gaps needs non-negative finite values".into()));
-    }
-    if delays.is_empty() || delays.iter().any(|d| !d.is_finite() || *d < 0.0) {
-        return Err(CliError("--delays needs non-negative finite values".into()));
-    }
-    if factor <= 0.0 {
-        return Err(CliError("--factor must be positive".into()));
-    }
+    let factor = a.num_flag_or("factor", 10.0, Range::Positive)?;
+    let ds = load(a.positional(1, "log")?)?;
     let store = SessionStore::from_dataset(&ds);
     let sweep = store.sweep_with_telemetry(&gaps, &delays, factor, telemetry);
     let emit_phase = telemetry.perf.phase("report_emission");
@@ -323,11 +349,8 @@ fn cmd_generate<W: Write>(
 ) -> Result<(), CliError> {
     let scenario = a.positional(1, "scenario")?.to_owned();
     let out = a.positional(2, "out")?.to_owned();
-    let scale: f64 = a.flag_or("scale", 0.1)?;
+    let scale = a.num_flag_or("scale", 0.1, Range::Positive)?;
     let seed: u64 = a.flag_or("seed", 42u64)?;
-    if scale <= 0.0 || scale.is_nan() {
-        return Err(CliError("--scale must be positive".into()));
-    }
     let mut gen_phase = telemetry.perf.phase("workload_generation");
     // Dispatch over the generator registry; the error path enumerates
     // what is actually available — the registered generators plus any
@@ -374,20 +397,6 @@ fn cmd_anonymize<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
     save(&out, &anon)?;
     writeln!(w, "wrote {} anonymized transfers to {out}", anon.len())?;
     Ok(())
-}
-
-/// Parses the `--shards auto|N` flag shared by the simulation-running
-/// commands. Outputs are byte-identical for every shard count by the
-/// kernel's determinism contract, so the flag only tunes wall-clock
-/// time.
-pub(crate) fn parse_shards(a: &ParsedArgs) -> Result<Shards, CliError> {
-    match a.str_flag_or("shards", "auto") {
-        "auto" => Ok(Shards::Auto),
-        s => match s.parse::<usize>() {
-            Ok(n) if n > 0 => Ok(Shards::Fixed(n)),
-            _ => Err(CliError("--shards must be 'auto' or a positive integer".into())),
-        },
-    }
 }
 
 /// Builds the canonical study workload shared by `simulate` and
@@ -453,12 +462,9 @@ fn cmd_simulate<W: Write>(
     let out = a.positional(1, "out")?.to_owned();
     let seed: u64 = a.flag_or("seed", 42u64)?;
     let jobs: usize = a.flag_or("jobs", 6usize)?;
-    let horizon: f64 = a.flag_or("horizon", 100_000.0)?;
+    let horizon = a.num_flag_or("horizon", 100_000.0, Range::Positive)?;
     if jobs == 0 {
         return Err(CliError("--jobs must be positive".into()));
-    }
-    if !horizon.is_finite() || horizon <= 0.0 {
-        return Err(CliError("--horizon must be positive".into()));
     }
 
     let faults = a
@@ -466,13 +472,12 @@ fn cmd_simulate<W: Write>(
         .get("faults")
         .map(|spec| FaultPlan::parse(spec).map_err(|e| CliError(e.to_string())))
         .transpose()?;
-    let shards = parse_shards(a)?;
 
     let d = study_driver(seed, jobs, faults, telemetry);
-    let result = d.run_sharded(SimTime::from_secs_f64(horizon), shards);
+    let result = d.run(SimTime::from_secs_f64(horizon));
     if let Some(tl) = &telemetry.timeline {
-        // Per-link utilization is derived once, from the merged
-        // integer SNMP bins, so the timeline stays shard-invariant.
+        // Per-link utilization is derived once, after the run, from
+        // the integer SNMP bins.
         result.sim.record_timeline(tl);
     }
     let emit_phase = telemetry.perf.phase("report_emission");
@@ -684,6 +689,7 @@ fn cmd_trace<W: Write>(a: &ParsedArgs, w: &mut W, telemetry: &Telemetry) -> Resu
 /// Without these flags the telemetry context is inert.
 pub fn run_command<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
     let command = a.positional(0, "command")?;
+    check_flags(command, a)?;
     let (telemetry, _instrumented) = telemetry_from_flags(a)?;
     let manifest = RunManifest::new(command, a.flag_or("seed", 42u64)?, &config_string(a));
     telemetry.tracer.emit_with(|| {
@@ -932,29 +938,6 @@ mod tests {
         assert!(err.0.contains("--horizon"));
         let err = run(&["simulate", "/tmp/x.log", "--faults", "bogus=1"]).unwrap_err();
         assert!(err.0.contains("invalid fault spec"), "{}", err.0);
-        let err = run(&["simulate", "/tmp/x.log", "--shards", "0"]).unwrap_err();
-        assert!(err.0.contains("--shards"), "{}", err.0);
-        let err = run(&["simulate", "/tmp/x.log", "--shards", "many"]).unwrap_err();
-        assert!(err.0.contains("--shards"), "{}", err.0);
-    }
-
-    #[test]
-    fn simulate_log_identical_for_every_shards_value() {
-        let sim_run = |tag: &str, shards: &[&str]| {
-            let out_path = tmpfile(&format!("sim-shards-{tag}.log"));
-            let mut argv = vec!["simulate", &out_path, "--seed", "11", "--jobs", "4"];
-            argv.extend_from_slice(shards);
-            let msg = run(&argv).unwrap();
-            let log = std::fs::read_to_string(&out_path).unwrap();
-            std::fs::remove_file(&out_path).ok();
-            (msg, log)
-        };
-        let (msg, base) = sim_run("default", &[]);
-        assert!(msg.contains("wrote"), "{msg}");
-        for (tag, n) in [("one", "1"), ("four", "4"), ("auto", "auto")] {
-            let (_, log) = sim_run(tag, &["--shards", n]);
-            assert_eq!(base, log, "usage log differs with --shards {n}");
-        }
     }
 
     #[test]
@@ -1188,6 +1171,62 @@ mod tests {
     fn unwritable_trace_path_is_clean_error() {
         let err = run(&["summary", "x.log", "--trace", "/nonexistent/dir/t.jsonl"]).unwrap_err();
         assert!(err.0.contains("cannot create"), "{}", err.0);
+    }
+
+    #[test]
+    fn flags_a_command_does_not_take_are_rejected() {
+        for argv in [
+            &["simulate", "/nonexistent/o.log", "--shards", "2"][..],
+            &["scenario", "run", "--all", "--shards", "1"],
+            &["simulate", "/nonexistent/o.log", "--bogus", "3"],
+            &["summary", "/nonexistent/x.log", "--seed", "3"],
+        ] {
+            let flag = argv[argv.len() - 2];
+            let err = run(argv).expect_err(flag);
+            assert!(err.0.contains(&format!("does not take {flag}")), "{argv:?}: {}", err.0);
+        }
+        // The global observability flags stay accepted by every command.
+        let log = tmpfile("global-flags.log");
+        sample_log(&log);
+        let prom = tmpfile("global-flags.prom");
+        run(&["summary", &log, "--metrics", "--metrics-out", &prom, "--perf"]).unwrap();
+        std::fs::remove_file(&prom).ok();
+    }
+
+    /// One row per numeric flag check: non-finite and out-of-range
+    /// values fail with an error naming the flag, before any file is
+    /// read or any work starts (so the paths need not exist).
+    #[test]
+    fn numeric_flags_reject_non_finite_and_out_of_range_values() {
+        let cases: &[(&[&str], &str, &str)] = &[
+            (&["generate", "slac", "/nonexistent/o.log"], "scale", "inf"),
+            (&["generate", "slac", "/nonexistent/o.log"], "scale", "NaN"),
+            (&["generate", "slac", "/nonexistent/o.log"], "scale", "0"),
+            (&["sessions", "/nonexistent/x.log"], "gap", "NaN"),
+            (&["sessions", "/nonexistent/x.log"], "gap", "-1"),
+            (&["suitability", "/nonexistent/x.log"], "gap", "-5"),
+            (&["suitability", "/nonexistent/x.log"], "gap", "NaN"),
+            (&["suitability", "/nonexistent/x.log"], "setup", "NaN"),
+            (&["suitability", "/nonexistent/x.log"], "setup", "inf"),
+            (&["suitability", "/nonexistent/x.log"], "factor", "NaN"),
+            (&["suitability", "/nonexistent/x.log"], "factor", "inf"),
+            (&["sweep", "/nonexistent/x.log"], "factor", "NaN"),
+            (&["sweep", "/nonexistent/x.log"], "factor", "inf"),
+            (&["sweep", "/nonexistent/x.log"], "gaps", "0,inf"),
+            (&["sweep", "/nonexistent/x.log"], "delays", "NaN"),
+            (&["simulate", "/nonexistent/o.log"], "horizon", "inf"),
+            (&["serve-metrics"], "horizon", "NaN"),
+            (&["perf", "snapshot"], "scale", "inf"),
+            (&["perf", "diff", "/nonexistent/a.json", "/nonexistent/b.json"], "tolerance", "NaN"),
+        ];
+        for (cmd, flag, value) in cases {
+            let flag_arg = format!("--{flag}");
+            let mut argv = cmd.to_vec();
+            argv.extend([flag_arg.as_str(), value]);
+            let err = run(&argv).expect_err(&flag_arg);
+            assert!(err.0.contains(&flag_arg), "{argv:?}: {}", err.0);
+            assert!(!err.0.contains("cannot open"), "{argv:?} read a file first: {}", err.0);
+        }
     }
 
     #[test]

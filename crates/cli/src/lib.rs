@@ -48,4 +48,4 @@ pub mod scenario;
 pub mod timeline;
 
 pub use args::{parse_flags, CliError, ParsedArgs};
-pub use commands::{run_command, COMMANDS};
+pub use commands::{run_command, COMMANDS, GLOBAL_FLAGS};

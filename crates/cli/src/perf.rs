@@ -17,7 +17,7 @@
 //! (non-zero exit) on any regression beyond the slowdown threshold,
 //! or when a baseline metric vanished from the candidate.
 
-use crate::args::{CliError, ParsedArgs};
+use crate::args::{CliError, ParsedArgs, Range};
 use gvc_bench::perfsuite::{run_snapshot, SNAPSHOT_NAMES};
 use gvc_telemetry::perf::{diff_snapshots, format_rate, gate_tolerance, PerfSnapshot};
 use std::io::Write;
@@ -59,12 +59,9 @@ fn selected_suites(a: &ParsedArgs) -> Result<Vec<&'static str>, CliError> {
 fn cmd_snapshot<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
     let out_dir = PathBuf::from(a.str_flag_or("out-dir", "target/perf"));
     let reps: u64 = a.flag_or("reps", 5u64)?;
-    let scale: f64 = a.flag_or("scale", 1.0)?;
+    let scale = a.num_flag_or("scale", 1.0, Range::Positive)?;
     if reps == 0 {
         return Err(CliError("--reps must be positive".into()));
-    }
-    if !scale.is_finite() || scale <= 0.0 {
-        return Err(CliError("--scale must be positive".into()));
     }
     let suites = selected_suites(a)?;
     std::fs::create_dir_all(&out_dir)
@@ -93,12 +90,9 @@ fn load_snapshot(path: &str) -> Result<PerfSnapshot, CliError> {
 }
 
 fn cmd_diff<W: Write>(a: &ParsedArgs, w: &mut W) -> Result<(), CliError> {
+    let tolerance = a.num_flag_or("tolerance", 0.15, Range::NonNegative)?;
     let baseline = load_snapshot(a.positional(2, "baseline.json")?)?;
     let candidate = load_snapshot(a.positional(3, "candidate.json")?)?;
-    let tolerance: f64 = a.flag_or("tolerance", 0.15)?;
-    if !tolerance.is_finite() || tolerance < 0.0 {
-        return Err(CliError("--tolerance must be non-negative".into()));
-    }
     let report = diff_snapshots(&baseline, &candidate, tolerance);
     if a.bool_flag("json") {
         writeln!(w, "{}", report.to_json())?;

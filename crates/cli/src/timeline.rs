@@ -4,14 +4,14 @@
 //!
 //! The timeline file is the canonical JSON the recorder in
 //! `gvc-telemetry` emits: windowed series over *simulation* time,
-//! byte-identical per seed at every shard count. `report` renders a
+//! byte-identical per seed. `report` renders a
 //! per-series table with sparkline trends, `csv` re-exports the
 //! document as the recorder's CSV, and `check` evaluates declarative
 //! SLO burn rules (see `docs/timeline.md` for the grammar), exiting
 //! non-zero when any rule fails.
 
-use crate::args::{CliError, ParsedArgs};
-use crate::commands::{parse_shards, study_driver};
+use crate::args::{CliError, ParsedArgs, Range};
+use crate::commands::study_driver;
 use gvc_engine::SimTime;
 use gvc_faults::FaultPlan;
 use gvc_telemetry::{check_rules, parse_rules, sparkline, MetricsServer, Telemetry, TimelineDoc};
@@ -182,12 +182,9 @@ pub fn cmd_serve_metrics<W: Write>(
     let listen = a.str_flag_or("listen", "127.0.0.1:0").to_owned();
     let seed: u64 = a.flag_or("seed", 42u64)?;
     let jobs: usize = a.flag_or("jobs", 4usize)?;
-    let horizon: f64 = a.flag_or("horizon", 100_000.0)?;
+    let horizon = a.num_flag_or("horizon", 100_000.0, Range::Positive)?;
     if jobs == 0 {
         return Err(CliError("--jobs must be positive".into()));
-    }
-    if !horizon.is_finite() || horizon <= 0.0 {
-        return Err(CliError("--horizon must be positive".into()));
     }
     let max_requests = match a.flags.get("max-requests") {
         None => None,
@@ -201,7 +198,9 @@ pub fn cmd_serve_metrics<W: Write>(
         .get("faults")
         .map(|spec| FaultPlan::parse(spec).map_err(|e| CliError(e.to_string())))
         .transpose()?;
-    let shards = parse_shards(a)?;
+    // Build the driver first: it registers every metric family, so
+    // even a scrape that lands before the first event sees them.
+    let d = study_driver(seed, jobs, faults, telemetry);
 
     let server =
         MetricsServer::bind(&listen, Arc::clone(&telemetry.registry), telemetry.timeline.clone())
@@ -216,8 +215,7 @@ pub fn cmd_serve_metrics<W: Write>(
     // scrape observes the run in flight; the registry and timeline
     // handles are shared with the driver's telemetry context.
     let handle = std::thread::spawn(move || server.serve_requests(max_requests));
-    let d = study_driver(seed, jobs, faults, telemetry);
-    let result = d.run_sharded(SimTime::from_secs_f64(horizon), shards);
+    let result = d.run(SimTime::from_secs_f64(horizon));
     if let Some(tl) = &telemetry.timeline {
         result.sim.record_timeline(tl);
     }
@@ -256,10 +254,10 @@ mod tests {
 
     /// Runs the faulted study simulation with `--timeline`, returning
     /// (usage log bytes, timeline bytes).
-    fn faulted_run(tag: &str, extra: &[&str]) -> (String, String) {
+    fn faulted_run(tag: &str) -> (String, String) {
         let out = tmpfile(&format!("sim-{tag}.log"));
         let tl = tmpfile(&format!("sim-{tag}.json"));
-        let mut argv = vec![
+        run(&[
             "simulate",
             &out,
             "--seed",
@@ -270,9 +268,8 @@ mod tests {
             "seed=1,fail-first=1",
             "--timeline",
             &tl,
-        ];
-        argv.extend_from_slice(extra);
-        run(&argv).unwrap();
+        ])
+        .unwrap();
         let log = std::fs::read_to_string(&out).unwrap();
         let timeline = std::fs::read_to_string(&tl).unwrap();
         std::fs::remove_file(&out).ok();
@@ -281,13 +278,8 @@ mod tests {
     }
 
     #[test]
-    fn timeline_identical_for_every_shards_value_and_leaves_log_unchanged() {
-        let (log_base, tl_base) = faulted_run("base", &[]);
-        for n in ["1", "4", "auto"] {
-            let (log, tl) = faulted_run(&format!("s{n}"), &["--shards", n]);
-            assert_eq!(tl_base, tl, "timeline differs with --shards {n}");
-            assert_eq!(log_base, log, "usage log differs with --shards {n}");
-        }
+    fn timeline_leaves_log_unchanged_and_covers_every_layer() {
+        let (log_base, tl_base) = faulted_run("base");
         // Recording the timeline must not perturb the simulation: the
         // usage log matches a run without --timeline.
         let out = tmpfile("sim-no-tl.log");
@@ -312,7 +304,7 @@ mod tests {
 
     #[test]
     fn timeline_report_and_csv_render_recorded_series() {
-        let (_, tl_text) = faulted_run("report", &[]);
+        let (_, tl_text) = faulted_run("report");
         let tl = tmpfile("report-in.json");
         std::fs::write(&tl, &tl_text).unwrap();
         let report = run(&["timeline", "report", &tl]).unwrap();
@@ -329,7 +321,7 @@ mod tests {
 
     #[test]
     fn timeline_check_passes_and_fails_on_slo_rules() {
-        let (_, tl_text) = faulted_run("check", &[]);
+        let (_, tl_text) = faulted_run("check");
         let tl = tmpfile("check-in.json");
         std::fs::write(&tl, &tl_text).unwrap();
 

@@ -41,6 +41,16 @@ fn unknown_command_exits_1_with_message() {
 }
 
 #[test]
+fn unknown_flag_exits_1_naming_the_flag() {
+    let out = gvc()
+        .args(["simulate", tmp("bogus.log").to_str().unwrap(), "--bogus", "3"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--bogus"));
+}
+
+#[test]
 fn full_workflow_through_files() {
     let log = tmp("wf.log");
     let anon = tmp("wf-anon.log");

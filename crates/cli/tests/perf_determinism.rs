@@ -164,8 +164,8 @@ fn snapshot_then_gate_passes_end_to_end() {
         run(&["perf", "snapshot", "--out-dir", d, "--reps", "2", "--scale", "0.01"])
             .expect("snapshot");
     }
-    // All five standard suites landed, with the shared schema.
-    for name in ["kernel", "sweep", "analysis", "shard", "tidy"] {
+    // The standard suites landed, with the shared schema.
+    for name in ["kernel", "sweep", "analysis", "tidy"] {
         let snap = PerfSnapshot::load(dir.join("base").join(format!("BENCH_{name}.json")))
             .expect("load snapshot");
         assert_eq!(snap.name, name);

@@ -16,10 +16,8 @@
 
 pub mod calendar;
 pub mod queue;
-pub mod shard;
 pub mod time;
 
 pub use calendar::{CivilDateTime, EPOCH_2009_UTC};
 pub use queue::{EventQueue, QueueTelemetry};
-pub use shard::{merge_ordered, ResourcePartition, UnionFind};
 pub use time::{SimSpan, SimTime};

@@ -67,8 +67,7 @@ impl FaultTelemetry {
     }
 
     /// Attaches a sim-time flight recorder for windowed injection
-    /// counts (each fault fires in exactly one shard lane, so the
-    /// per-window sums are shard-invariant).
+    /// counts.
     #[must_use]
     pub fn with_timeline(mut self, timeline: Option<TimelineHandle>) -> FaultTelemetry {
         self.timeline = timeline;

@@ -10,7 +10,7 @@
 use crate::server::{ServerCaps, ServerCluster};
 use crate::session::SessionSpec;
 use crate::transfer::{prepare_transfer, FailureModel, PreparedTransfer, ServerNoise, TransferJob};
-use gvc_engine::{EventQueue, QueueTelemetry, ResourcePartition, SimSpan, SimTime};
+use gvc_engine::{EventQueue, QueueTelemetry, SimSpan, SimTime};
 use gvc_faults::{
     FaultInjector, FaultKind, FaultPlan, FaultTelemetry, RecoveryAction, RecoveryPolicy,
 };
@@ -21,8 +21,7 @@ use gvc_oscars::{Idc, IdcTelemetry, ReservationId, ReservationRequest};
 use gvc_stats::rng::component_rng;
 use gvc_telemetry::timeline::series;
 use gvc_telemetry::{
-    BufferSink, Counter, Histogram, Perf, Registry, SpanId, Stopwatch, Telemetry, TimelineHandle,
-    TraceEvent, Tracer,
+    Counter, Histogram, SpanId, Stopwatch, Telemetry, TimelineHandle, TraceEvent, Tracer,
 };
 use gvc_topology::{LinkId, NodeId, Path};
 use rand::rngs::SmallRng;
@@ -91,53 +90,6 @@ impl DriverTelemetry {
 
 /// Tag marking background flows (excluded from the usage log).
 pub const BACKGROUND_TAG: u64 = u64::MAX;
-
-/// Worker-pool sizing for [`Driver::run_sharded`].
-///
-/// The lane *partition* never depends on this value — it only sets
-/// how many lanes execute at once — so a run's outputs are
-/// byte-identical for every setting, including `Fixed(1)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Shards {
-    /// One worker per available CPU.
-    Auto,
-    /// Exactly `n` workers (1 = lanes run sequentially, in order).
-    Fixed(usize),
-}
-
-impl Shards {
-    /// The worker count this setting resolves to on this host.
-    pub fn threads(self) -> usize {
-        match self {
-            Shards::Auto => {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            }
-            Shards::Fixed(n) => n.max(1),
-        }
-    }
-}
-
-/// Everything scheduled on a driver so far, replayable into per-lane
-/// sub-drivers. [`Driver::run_sharded`] needs to re-schedule the
-/// workload lane by lane, and the event calendar is a heap that
-/// cannot be iterated, so the schedule is also recorded at call time.
-#[derive(Default)]
-struct ShardScript {
-    clusters: Vec<(String, NodeId, ServerCaps, u32)>,
-    sessions: Vec<(SimTime, ClusterId, ClusterId, SessionSpec)>,
-    backgrounds: Vec<(SimTime, FlowSpec)>,
-    resizes: Vec<(SimTime, ClusterId, u32)>,
-}
-
-/// Per-lane bookkeeping [`Driver::run_core`] reports alongside its
-/// output: what the coordinator needs to recompute pooled statistics
-/// (the recovery-latency mean cannot be rebuilt from per-lane means).
-struct LaneStats {
-    /// Kernel pops plus flow completions (perf-phase item count).
-    events: u64,
-    recovery_lat_sum_s: f64,
-    recovery_lat_n: u64,
-}
 
 /// Handle to a registered cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -208,10 +160,6 @@ struct InFlight {
     span: SpanId,
 }
 
-/// A lane sub-driver plus the private sink/registry/timeline the
-/// coordinator later absorbs in lane order.
-type LaneParts = (Driver, Option<Arc<BufferSink>>, Option<Arc<Registry>>, Option<TimelineHandle>);
-
 /// The session/transfer driver over a fluid network simulation.
 pub struct Driver {
     sim: NetworkSim,
@@ -247,11 +195,6 @@ pub struct Driver {
     tracer: Tracer,
     /// The `driver.run` root span, opened by [`Driver::run`].
     run_span: SpanId,
-    /// The recorded schedule, for [`Driver::run_sharded`].
-    script: ShardScript,
-    /// Set on lane sub-drivers: `(coordinator run span, lane index)`.
-    /// The lane's root span is then `driver.lane` under that parent.
-    lane_root: Option<(SpanId, usize)>,
 }
 
 impl Driver {
@@ -289,8 +232,6 @@ impl Driver {
             telemetry_ctx: None,
             tracer: Tracer::disabled(),
             run_span: SpanId::NONE,
-            script: ShardScript::default(),
-            lane_root: None,
         }
     }
 
@@ -387,7 +328,6 @@ impl Driver {
     ) -> ClusterId {
         let c = ServerCluster::register(&mut self.sim, name, node, caps, n_servers);
         self.clusters.push(c);
-        self.script.clusters.push((name.to_owned(), node, caps, n_servers));
         ClusterId(self.clusters.len() - 1)
     }
 
@@ -404,16 +344,6 @@ impl Driver {
         dst: ClusterId,
         spec: SessionSpec,
     ) {
-        self.script.sessions.push((at, src, dst, spec.clone()));
-        let idx = self.push_session_slot(src, dst, spec);
-        self.pending.schedule(at, Event::StartSession(idx));
-    }
-
-    /// Registers a session's state without scheduling it. Lane
-    /// sub-drivers register *every* session slot — so global session
-    /// indices (and the RNG streams keyed on them) are preserved —
-    /// but only schedule the sessions their lane owns.
-    fn push_session_slot(&mut self, src: ClusterId, dst: ClusterId, spec: SessionSpec) -> usize {
         let idx = self.sessions.len();
         self.sessions.push(SessionState {
             spec,
@@ -430,7 +360,7 @@ impl Driver {
             wait_span: SpanId::NONE,
             vc_span: SpanId::NONE,
         });
-        idx
+        self.pending.schedule(at, Event::StartSession(idx));
     }
 
     /// Schedules a single transfer (a one-job session).
@@ -449,21 +379,16 @@ impl Driver {
     pub fn schedule_background(&mut self, arrivals: Vec<gvc_net::background::BackgroundArrival>) {
         for a in arrivals {
             let spec = a.spec.with_tag(BACKGROUND_TAG);
-            self.script.backgrounds.push((a.at, spec.clone()));
             self.pending.schedule(a.at, Event::InjectBackground(Box::new(spec)));
         }
     }
 
     /// Schedules a cluster resize (the frost 3 → 2 → 1 shrink).
     pub fn schedule_resize(&mut self, at: SimTime, cluster: ClusterId, n_servers: u32) {
-        self.script.resizes.push((at, cluster, n_servers));
         self.pending.schedule(at, Event::ResizeCluster(cluster, n_servers));
     }
 
-    /// The attached sim-time flight recorder, if any. Driver-side
-    /// series are all counters of 1.0 increments (or per-event
-    /// quantile observations), each fired in exactly one shard lane,
-    /// so the per-window merges are shard-invariant.
+    /// The attached sim-time flight recorder, if any.
     fn tl(&self) -> Option<&TimelineHandle> {
         self.telemetry.as_ref().and_then(|t| t.timeline.as_ref())
     }
@@ -1100,26 +1025,14 @@ impl Driver {
     ///
     /// `limit` bounds the simulation clock as a safety net against
     /// stalled flows.
-    pub fn run(self, limit: SimTime) -> DriverOutput {
-        self.run_core(limit).0
-    }
-
-    /// The drive loop proper, also reporting the lane-level stats the
-    /// sharded coordinator needs to pool runs.
-    fn run_core(mut self, limit: SimTime) -> (DriverOutput, LaneStats) {
+    pub fn run(mut self, limit: SimTime) -> DriverOutput {
         // Host-perf phase around the whole drive loop; items = kernel
         // pops + flow completions. Disabled handle = one branch here.
         let perf = self.telemetry_ctx.as_ref().map(|c| c.perf.clone()).unwrap_or_default();
         let mut perf_phase = perf.phase("simulate");
         let mut completions: u64 = 0;
         let start_us = self.sim.now().micros() as i64;
-        self.run_span = match self.lane_root {
-            Some((parent, lane)) => {
-                self.tracer
-                    .span_enter_with(parent, start_us, "driver.lane", |ev| ev.field("lane", lane))
-            }
-            None => self.tracer.span_enter(SpanId::NONE, start_us, "driver.run"),
-        };
+        self.run_span = self.tracer.span_enter(SpanId::NONE, start_us, "driver.run");
         // Scheduled link flaps from the fault plan become calendar
         // events before anything else runs.
         let flap_windows: Vec<(usize, f64, f64)> = self
@@ -1189,350 +1102,22 @@ impl Driver {
                 0.0
             },
         });
-        let stats = LaneStats {
-            events: self.pending.dispatched() + completions,
-            recovery_lat_sum_s: self.recovery_lat_sum_s,
-            recovery_lat_n: self.recovery_lat_n,
-        };
-        perf_phase.items(stats.events);
+        perf_phase.items(self.pending.dispatched() + completions);
         drop(perf_phase);
         if let Some(t) = &self.telemetry {
             t.tracer.flush();
         }
         self.ftel.tracer.flush();
         self.tstat.sort_by_key(|t| t.start_unix_us);
-        (
-            DriverOutput {
-                log: Dataset::from_records(self.log),
-                sim: self.sim,
-                idc_stats,
-                tstat: TstatReport { transfers: self.tstat },
-                resilience,
-                open_reservations,
-            },
-            stats,
-        )
-    }
-
-    /// Partitions the recorded schedule into independent event lanes:
-    /// a union-find over the resources each scheduled item can touch
-    /// — its endpoint clusters, every link on its routed path, and
-    /// (for circuit-requesting sessions) the shared IDC calendar.
-    /// Items in the same component must run in one lane; disjoint
-    /// components never interact and can run in parallel.
-    ///
-    /// The partition depends only on the workload and topology, never
-    /// on the shard count, which is what makes sharded outputs
-    /// byte-identical for every [`Shards`] setting.
-    fn lane_partition(&self) -> Vec<Vec<usize>> {
-        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-        enum LaneKey {
-            /// The OSCARS calendar: every circuit-requesting session
-            /// contends for the same reservable bandwidth, whatever
-            /// path CSPF ends up picking for it.
-            Idc,
-            Cluster(usize),
-            Link(u32),
-            Resource(u32),
-        }
-        let mut part = ResourcePartition::new();
-        let mut idx = 0;
-        for (_, src, dst, spec) in &self.script.sessions {
-            let mut keys = vec![LaneKey::Cluster(src.0), LaneKey::Cluster(dst.0)];
-            if let Some(path) = self.path_between(*src, *dst) {
-                keys.extend(path.links.iter().map(|&l| LaneKey::Link(l.0)));
-            }
-            if spec.vc.is_some() && self.idc.is_some() {
-                keys.push(LaneKey::Idc);
-            }
-            part.add_item(idx, keys);
-            idx += 1;
-        }
-        for (_, spec) in &self.script.backgrounds {
-            let keys: Vec<LaneKey> = spec
-                .route
-                .iter()
-                .map(|&l| LaneKey::Link(l.0))
-                .chain(spec.resources.iter().map(|&r| LaneKey::Resource(r.0)))
-                .collect();
-            part.add_item(idx, keys);
-            idx += 1;
-        }
-        for (_, cluster, _) in &self.script.resizes {
-            part.add_item(idx, [LaneKey::Cluster(cluster.0)]);
-            idx += 1;
-        }
-        for flap in self.faults.iter().flat_map(FaultInjector::link_flaps) {
-            let key = flap
-                .link
-                .split_once("->")
-                .and_then(|(s, d)| self.sim.link_by_names(s, d))
-                .map(|l| LaneKey::Link(l.0));
-            part.add_item(idx, key);
-            idx += 1;
-        }
-        part.lanes()
-    }
-
-    /// Number of independent event lanes the current schedule splits
-    /// into (1 = [`Driver::run_sharded`] degenerates to [`Driver::run`]).
-    pub fn lane_count(&self) -> usize {
-        self.lane_partition().len().max(1)
-    }
-
-    /// Builds the sub-driver for one lane: a fresh simulator over the
-    /// same topology, every cluster and session slot registered in
-    /// global order (preserving ids and per-session RNG streams), but
-    /// only the lane's own items scheduled.
-    fn build_lane(&self, k: usize, members: &[usize], parent: SpanId) -> LaneParts {
-        let s_n = self.script.sessions.len();
-        let b_n = self.script.backgrounds.len();
-        let r_n = self.script.resizes.len();
-        let owns = |i: usize| members.binary_search(&i).is_ok();
-        let mut sim = NetworkSim::new(self.sim.graph().clone(), self.sim.to_unix_us(SimTime::ZERO));
-        for link in self.sim.snmp().monitored_links() {
-            sim.monitor_link(link);
-        }
-        let mut lane = Driver::new(sim, self.seed);
-        // Each lane draws server noise from its own labelled stream;
-        // the label depends on the (shard-count-invariant) lane index,
-        // so every sharded run of a workload sees the same draws.
-        lane.rng = component_rng(self.seed, &format!("gridftp-driver/lane{k}"));
-        lane.tcp = self.tcp;
-        lane.noise = self.noise;
-        lane.failures = self.failures;
-        lane.control_overhead_s = self.control_overhead_s;
-        lane.recovery = self.recovery;
-        lane.lane_root = Some((parent, k));
-        // At most one lane contains circuit-requesting sessions (they
-        // all share the IDC lane key), so its fork keeps the legacy
-        // reservation-id space and sees every reservation.
-        let owns_vc = members.iter().any(|&i| i < s_n && self.script.sessions[i].3.vc.is_some());
-        if owns_vc {
-            lane.idc = self.idc.as_ref().map(|idc| idc.fork_with_id_base(0));
-        }
-        if let Some(f) = &self.faults {
-            let mut plan = f.plan().clone();
-            // Only the lane's own flaps: flap indices re-number within
-            // the lane, matching the LinkFlap events its run schedules.
-            plan.link_flaps = members
-                .iter()
-                .filter_map(|&i| i.checked_sub(s_n + b_n + r_n))
-                .filter_map(|fi| f.plan().link_flaps.get(fi).cloned())
-                .collect();
-            lane.faults = Some(FaultInjector::new(plan));
-        }
-        let mut sink = None;
-        let mut registry = None;
-        let mut timeline = None;
-        if let Some(ctx) = &self.telemetry_ctx {
-            let tracer = if ctx.tracer.enabled() {
-                let buf = Arc::new(BufferSink::new());
-                sink = Some(Arc::clone(&buf));
-                // Disjoint span-id blocks per lane: ids stay unique
-                // after the lane buffers concatenate.
-                Tracer::to_sink_with_span_base(buf, (k as u64 + 1) << 40)
-            } else {
-                Tracer::disabled()
-            };
-            // Each lane records into its own flight recorder (same
-            // window width); the coordinator absorbs them in lane
-            // order, so the merged timeline is shard-invariant.
-            timeline = ctx.timeline.as_ref().map(|tl| TimelineHandle::new(tl.width_us()));
-            let lane_ctx = Telemetry {
-                registry: Arc::new(Registry::new()),
-                tracer,
-                perf: Perf::disabled(),
-                timeline: timeline.clone(),
-            };
-            registry = Some(Arc::clone(&lane_ctx.registry));
-            lane = lane.with_telemetry(&lane_ctx);
-        }
-        for (name, node, caps, n) in &self.script.clusters {
-            lane.register_cluster(name, *node, *caps, *n);
-        }
-        for (i, (at, src, dst, spec)) in self.script.sessions.iter().enumerate() {
-            lane.push_session_slot(*src, *dst, spec.clone());
-            if owns(i) {
-                lane.pending.schedule(*at, Event::StartSession(i));
-            }
-        }
-        for (j, (at, spec)) in self.script.backgrounds.iter().enumerate() {
-            if owns(s_n + j) {
-                lane.pending.schedule(*at, Event::InjectBackground(Box::new(spec.clone())));
-            }
-        }
-        for (r, (at, cluster, n)) in self.script.resizes.iter().enumerate() {
-            if owns(s_n + b_n + r) {
-                lane.pending.schedule(*at, Event::ResizeCluster(*cluster, *n));
-            }
-        }
-        (lane, sink, registry, timeline)
-    }
-
-    /// Runs the recorded schedule as independent event lanes —
-    /// potentially in parallel — and merges the results through a
-    /// deterministic, lane-ordered fold.
-    ///
-    /// Determinism contract:
-    ///
-    /// * outputs are byte-identical for every `shards` value and for
-    ///   parallel vs. `--no-default-features` sequential builds;
-    /// * a schedule that partitions into a single lane (everything
-    ///   shares a path, which includes the paper's one-pair studies)
-    ///   delegates to [`Driver::run`] and is bit-for-bit the legacy
-    ///   serial run;
-    /// * a multi-lane schedule is its own deterministic mode: the
-    ///   serial kernel threads one noise stream through all sessions
-    ///   in event order, while lanes draw from per-lane streams, so
-    ///   multi-lane outputs are reproducible but not byte-equal to
-    ///   [`Driver::run`] (see `docs/kernel.md`).
-    pub fn run_sharded(mut self, limit: SimTime, shards: Shards) -> DriverOutput {
-        let lanes = self.lane_partition();
-        if lanes.len() <= 1 {
-            return self.run(limit);
-        }
-        let perf = self.telemetry_ctx.as_ref().map(|c| c.perf.clone()).unwrap_or_default();
-        let mut perf_phase = perf.phase("simulate");
-        // Events recorded on the coordinator's calendar are replayed
-        // into the lanes instead; close their queue-wait spans as
-        // cancelled so the trace stays balanced.
-        self.pending.clear();
-        let lane_count = lanes.len();
-        let run_span = self.tracer.span_enter_with(
-            SpanId::NONE,
-            self.sim.now().micros() as i64,
-            "driver.run",
-            |ev| ev.field("lanes", lane_count),
-        );
-        let mut drivers = Vec::with_capacity(lane_count);
-        let mut sinks = Vec::with_capacity(lane_count);
-        let mut registries = Vec::with_capacity(lane_count);
-        let mut timelines = Vec::with_capacity(lane_count);
-        for (k, members) in lanes.iter().enumerate() {
-            let (d, sink, registry, timeline) = self.build_lane(k, members, run_span);
-            drivers.push(d);
-            sinks.push(sink);
-            registries.push(registry);
-            timelines.push(timeline);
-        }
-        let results = run_lanes(drivers, limit, shards.threads());
-        // Stitch the trace: coordinator events first, then each
-        // lane's buffer whole, in lane order. Within-lane order is
-        // the lane's own emit order; the offline tools sort by
-        // timestamp where they need a global timeline.
-        for sink in sinks.into_iter().flatten() {
-            for ev in sink.take() {
-                self.tracer.emit_with(move || ev);
-            }
-        }
-        if let Some(ctx) = &self.telemetry_ctx {
-            for registry in registries.into_iter().flatten() {
-                ctx.registry.merge_from(&registry);
-            }
-            // Fold lane flight recorders in lane order. Per-window
-            // cell merges are commutative, so the merged timeline is
-            // identical for every shard count and thread schedule.
-            if let Some(parent_tl) = &ctx.timeline {
-                for tl in timelines.into_iter().flatten() {
-                    parent_tl.absorb(&tl);
-                }
-            }
-        }
-        let end_us = results.iter().map(|(o, _)| o.sim.now().micros() as i64).max().unwrap_or(0);
-        self.tracer.span_exit(run_span, end_us);
-        let mut records = Vec::new();
-        let mut transfers = Vec::new();
-        let mut idc_sum = gvc_oscars::IdcStats::default();
-        let mut open_sum = 0usize;
-        let mut events = 0u64;
-        let mut rep = ResilienceReport {
-            vc_requested: 0,
-            vc_established: 0,
-            faults_injected: 0,
-            retries: 0,
-            fallbacks: 0,
-            preemptions: 0,
-            mean_recovery_latency_s: 0.0,
-        };
-        let (mut lat_sum, mut lat_n) = (0.0_f64, 0_u64);
-        for (o, ls) in results {
-            self.sim.absorb_snmp(o.sim.snmp());
-            self.sim.absorb_bg_snmp(o.sim.bg_snmp());
-            records.extend(o.log.into_records());
-            transfers.extend(o.tstat.transfers);
-            if let Some(s) = o.idc_stats {
-                idc_sum.requests += s.requests;
-                idc_sum.admitted += s.admitted;
-                idc_sum.blocked += s.blocked;
-            }
-            open_sum += o.open_reservations.unwrap_or(0);
-            if let Some(r) = o.resilience {
-                rep.vc_requested += r.vc_requested;
-                rep.vc_established += r.vc_established;
-                rep.faults_injected += r.faults_injected;
-                rep.retries += r.retries;
-                rep.fallbacks += r.fallbacks;
-                rep.preemptions += r.preemptions;
-            }
-            lat_sum += ls.recovery_lat_sum_s;
-            lat_n += ls.recovery_lat_n;
-            events += ls.events;
-        }
-        rep.mean_recovery_latency_s = if lat_n > 0 { lat_sum / lat_n as f64 } else { 0.0 };
-        perf_phase.items(events);
-        drop(perf_phase);
-        if let Some(t) = &self.telemetry {
-            t.tracer.flush();
-        }
-        self.ftel.tracer.flush();
-        // Stable sort: equal start times keep lane-concatenation
-        // order, which is itself deterministic.
-        transfers.sort_by_key(|t| t.start_unix_us);
         DriverOutput {
-            log: Dataset::from_records(records),
+            log: Dataset::from_records(self.log),
             sim: self.sim,
-            idc_stats: self.idc.as_ref().map(|_| idc_sum),
-            tstat: TstatReport { transfers },
-            resilience: self.recovery.map(|_| rep),
-            open_reservations: self.idc.as_ref().map(|_| open_sum),
+            idc_stats,
+            tstat: TstatReport { transfers: self.tstat },
+            resilience,
+            open_reservations,
         }
     }
-}
-
-/// Executes lane sub-drivers, returning results in lane order. With
-/// the `parallel` feature and more than one worker, lanes run via
-/// recursive `rayon::join` splits bounded by the worker budget; the
-/// halves concatenate back in lane order however execution
-/// interleaves, so results never depend on scheduling.
-#[cfg(feature = "parallel")]
-fn run_lanes(lanes: Vec<Driver>, limit: SimTime, threads: usize) -> Vec<(DriverOutput, LaneStats)> {
-    fn go(
-        mut lanes: Vec<Driver>,
-        limit: SimTime,
-        workers: usize,
-    ) -> Vec<(DriverOutput, LaneStats)> {
-        if workers <= 1 || lanes.len() <= 1 {
-            return lanes.into_iter().map(|d| d.run_core(limit)).collect();
-        }
-        let right = lanes.split_off(lanes.len() / 2);
-        let (left_workers, right_workers) = (workers - workers / 2, workers / 2);
-        let (mut l, r) =
-            rayon::join(|| go(lanes, limit, left_workers), || go(right, limit, right_workers));
-        l.extend(r);
-        l
-    }
-    go(lanes, limit, threads)
-}
-
-/// Sequential fallback: lanes run one after another, in lane order.
-#[cfg(not(feature = "parallel"))]
-fn run_lanes(
-    lanes: Vec<Driver>,
-    limit: SimTime,
-    _threads: usize,
-) -> Vec<(DriverOutput, LaneStats)> {
-    lanes.into_iter().map(|d| d.run_core(limit)).collect()
 }
 
 /// Per-transfer connection statistics, in the spirit of the `tstat`
@@ -2347,342 +1932,5 @@ mod tests {
         assert_eq!(out.log.len(), 2);
         let tp: Vec<f64> = out.log.throughputs_mbps();
         assert!(tp[0] > tp[1] * 1.4, "before={} after={}", tp[0], tp[1]);
-    }
-
-    /// A three-lane workload: pairs local to different hubs never
-    /// share a link. `vc_pair` requests a circuit on the SLAC pair.
-    fn disjoint_pairs_driver(seed: u64, with_telemetry: Option<&Telemetry>, vc: bool) -> Driver {
-        let t = study_topology();
-        let pairs = [(Site::Nersc, Site::Slac), (Site::Ornl, Site::Nics), (Site::Anl, Site::Bnl)];
-        let dtns: Vec<(NodeId, NodeId)> =
-            pairs.iter().map(|&(x, y)| (t.dtn(x), t.dtn(y))).collect();
-        let mut d = Driver::new(NetworkSim::new(t.graph.clone(), 0), seed);
-        if vc {
-            d = d.with_idc(Idc::new(t.graph.clone(), SetupDelayModel::one_minute()));
-        }
-        if let Some(ctx) = with_telemetry {
-            d = d.with_telemetry(ctx);
-        }
-        let mut clusters = Vec::new();
-        for (i, &(x, y)) in dtns.iter().enumerate() {
-            let a = d.register_cluster(&format!("src{i}"), x, ServerCaps::default(), 2);
-            let b = d.register_cluster(&format!("dst{i}"), y, ServerCaps::default(), 2);
-            clusters.push((a, b));
-        }
-        for (i, &(a, b)) in clusters.iter().enumerate() {
-            let mut spec = SessionSpec::sequential(vec![job(256); 3], 1.0).with_concurrency(2);
-            if vc && i == 0 {
-                spec = spec.with_vc(vc_spec());
-            }
-            d.schedule_session(SimTime::from_secs(i as u64), a, b, spec);
-            d.schedule_transfer(SimTime::from_secs(30 + i as u64), a, b, job(64));
-        }
-        d
-    }
-
-    #[test]
-    fn lane_partition_separates_disjoint_pairs_and_merges_shared_paths() {
-        let d = disjoint_pairs_driver(11, None, false);
-        assert_eq!(d.lane_count(), 3, "hub-local pairs must not share a lane");
-        // The study pairs all cross the shared backbone: one lane, so
-        // run_sharded degenerates to the bit-for-bit legacy run.
-        let (mut d, a, b) = base_driver(11);
-        d.schedule_transfer(SimTime::ZERO, a, b, job(64));
-        assert_eq!(d.lane_count(), 1);
-    }
-
-    #[test]
-    fn sharded_single_lane_is_bit_identical_to_serial() {
-        let build = |_: ()| {
-            let (mut d, a, b) = base_driver(12);
-            d.schedule_session(
-                SimTime::ZERO,
-                a,
-                b,
-                SessionSpec::sequential(vec![job(128); 4], 2.0).with_concurrency(2),
-            );
-            d.schedule_transfer(SimTime::from_secs(7), a, b, job(256));
-            d
-        };
-        let serial = build(()).run(SimTime::from_secs(1_000_000));
-        let sharded = build(()).run_sharded(SimTime::from_secs(1_000_000), Shards::Auto);
-        assert_eq!(serial.log, sharded.log);
-        assert_eq!(serial.tstat.transfers, sharded.tstat.transfers);
-    }
-
-    /// The core determinism contract: a multi-lane schedule produces
-    /// byte-identical outputs at every shard count.
-    #[test]
-    fn sharded_outputs_identical_across_shard_counts() {
-        let run = |shards: Shards| {
-            let d = disjoint_pairs_driver(13, None, true);
-            assert!(d.lane_count() > 1, "workload must actually shard");
-            d.run_sharded(SimTime::from_secs(1_000_000), shards)
-        };
-        let one = run(Shards::Fixed(1));
-        let two = run(Shards::Fixed(2));
-        let many = run(Shards::Fixed(16));
-        let auto = run(Shards::Auto);
-        for other in [&two, &many, &auto] {
-            assert_eq!(one.log, other.log);
-            assert_eq!(one.tstat.transfers, other.tstat.transfers);
-            assert_eq!(one.idc_stats, other.idc_stats);
-            assert_eq!(one.open_reservations, other.open_reservations);
-            assert_eq!(one.resilience, other.resilience);
-        }
-        assert_eq!(one.open_reservations, Some(0), "no leaked reservations");
-        assert_eq!(one.log.len(), 3 * 4, "every pair's jobs logged");
-    }
-
-    #[test]
-    fn sharded_traces_and_metrics_identical_across_shard_counts() {
-        use gvc_telemetry::RingSink;
-        // The reproducible slice of an exposition: wall-clock handler
-        // timings vary run to run, everything else must not.
-        let canon_metrics = |ctx: &Telemetry| -> String {
-            ctx.registry
-                .render()
-                .lines()
-                .filter(|l| !l.contains("sim_event_handle_seconds"))
-                .map(|l| format!("{l}\n"))
-                .collect()
-        };
-        // Same filter as the CLI determinism suite: kernel.event
-        // records carry wall_us profiling samples.
-        let run = |shards: Shards| -> (String, String, Dataset) {
-            let ring = Arc::new(RingSink::new(65536));
-            let ctx = Telemetry::with_sink(ring.clone());
-            let d = disjoint_pairs_driver(14, Some(&ctx), true);
-            let out = d.run_sharded(SimTime::from_secs(1_000_000), shards);
-            let trace: String = ring
-                .events()
-                .iter()
-                .filter(|e| e.kind != "kernel.event")
-                .map(|e| format!("{}\n", e.to_json()))
-                .collect();
-            (trace, canon_metrics(&ctx), out.log)
-        };
-        let (trace1, metrics1, log1) = run(Shards::Fixed(1));
-        let (trace2, metrics2, log2) = run(Shards::Fixed(2));
-        let (trace_n, metrics_n, log_n) = run(Shards::Auto);
-        assert_eq!(trace1, trace2, "trace bytes differ between shard counts 1 and 2");
-        assert_eq!(trace1, trace_n, "trace bytes differ between shard counts 1 and auto");
-        assert_eq!(metrics1, metrics2);
-        assert_eq!(metrics1, metrics_n);
-        assert_eq!(log1, log2);
-        assert_eq!(log1, log_n);
-        assert!(trace1.contains("\"name\":\"driver.lane\""), "lane spans emitted");
-        assert!(trace1.contains("\"name\":\"driver.run\""), "coordinator span emitted");
-    }
-
-    #[test]
-    fn sharded_trace_survives_offline_checks_and_merged_metrics_add_up() {
-        use gvc_telemetry::{check, CheckConfig, RingSink, TraceModel};
-        let ring = Arc::new(RingSink::new(65536));
-        let ctx = Telemetry::with_sink(ring.clone());
-        let d = disjoint_pairs_driver(15, Some(&ctx), true);
-        let out = d.run_sharded(SimTime::from_secs(1_000_000), Shards::Auto);
-        assert_eq!(out.log.len(), 12);
-        let text: String = ring.events().iter().map(|e| format!("{}\n", e.to_json())).collect();
-        let model = TraceModel::from_text(&text).expect("parse merged trace");
-        let report = check(&model, &CheckConfig::default());
-        assert!(report.clean(), "merged trace violations: {:?}", report.violations);
-        // Lane registries folded into the coordinator's: lifecycle
-        // counters cover every session and transfer.
-        let reg = &ctx.registry;
-        assert_eq!(reg.counter("gridftp_sessions_started_total", &[]).get(), 6);
-        assert_eq!(reg.counter("gridftp_sessions_completed_total", &[]).get(), 6);
-        assert_eq!(reg.counter("gridftp_transfers_completed_total", &[]).get(), 12);
-        assert_eq!(reg.counter("idc_admitted_total", &[]).get(), 1);
-    }
-
-    #[test]
-    fn sharded_faults_and_snmp_match_across_shard_counts() {
-        use gvc_faults::FaultPlan;
-        let t = study_topology();
-        let watch_a = t.path(Site::Nersc, Site::Slac).links[2];
-        let watch_b = t.path(Site::Ornl, Site::Nics).links[2];
-        let run = |shards: Shards| {
-            let mut d = disjoint_pairs_driver(16, None, true).with_faults(FaultPlan {
-                fail_first_provisions: 1,
-                link_flaps: vec![gvc_faults::LinkFlapSpec {
-                    link: "nash-cr->nics-pe".into(),
-                    at_s: 5.0,
-                    duration_s: 60.0,
-                    residual_frac: 0.25,
-                }],
-                ..FaultPlan::default()
-            });
-            d.sim_mut().monitor_link(watch_a);
-            d.sim_mut().monitor_link(watch_b);
-            d.run_sharded(SimTime::from_secs(1_000_000), shards)
-        };
-        let one = run(Shards::Fixed(1));
-        let many = run(Shards::Auto);
-        assert_eq!(one.log, many.log);
-        assert_eq!(one.resilience, many.resilience);
-        let r = one.resilience.expect("resilience report");
-        assert!(r.faults_injected >= 2, "provision fault + link flap: {r:?}");
-        for watch in [watch_a, watch_b] {
-            let (s1, s2) = (
-                one.sim.snmp().series(watch).expect("series"),
-                many.sim.snmp().series(watch).expect("series"),
-            );
-            assert_eq!(s1, s2, "SNMP series differ for link {watch:?}");
-            assert!(s1.total_bytes() > 0, "monitored link saw traffic");
-        }
-    }
-
-    /// The flight-recorder arm of the determinism contract: the
-    /// merged timeline (driver, kernel, IDC, fault, and derived SNMP
-    /// series alike) is byte-identical at every shard count — and,
-    /// because this test also runs under `--no-default-features`, in
-    /// the sequential build.
-    #[test]
-    fn sharded_timeline_bytes_identical_across_shard_counts() {
-        use gvc_faults::FaultPlan;
-        use gvc_telemetry::DEFAULT_WIDTH_US;
-        let t = study_topology();
-        let watch = t.path(Site::Nersc, Site::Slac).links[2];
-        let run = |shards: Shards| -> String {
-            let tl = TimelineHandle::new(DEFAULT_WIDTH_US);
-            let ctx = Telemetry::metrics_only().with_timeline(tl.clone());
-            let mut d = disjoint_pairs_driver(18, Some(&ctx), true)
-                .with_faults(FaultPlan { fail_first_provisions: 1, ..FaultPlan::default() });
-            d.sim_mut().monitor_link(watch);
-            let out = d.run_sharded(SimTime::from_secs(1_000_000), shards);
-            out.sim.record_timeline(&tl);
-            tl.to_json()
-        };
-        let one = run(Shards::Fixed(1));
-        let two = run(Shards::Fixed(2));
-        let auto = run(Shards::Auto);
-        assert_eq!(one, two, "timeline bytes differ between shard counts 1 and 2");
-        assert_eq!(one, auto, "timeline bytes differ between shard counts 1 and auto");
-        for name in [
-            series::KERNEL_SCHEDULED,
-            series::KERNEL_DISPATCHED,
-            series::DRIVER_SESSION_STARTS,
-            series::DRIVER_SESSION_COMPLETIONS,
-            series::DRIVER_TRANSFERS,
-            series::DRIVER_VC_SETUP,
-            series::FAULT_INJECTED,
-            series::OSCARS_OPEN_RESERVATIONS,
-            series::NET_LINK_UTIL,
-        ] {
-            assert!(one.contains(&format!("\"{name}")), "series {name} missing:\n{one}");
-        }
-    }
-
-    #[test]
-    fn sharded_background_and_resize_stay_on_their_lanes() {
-        let t = study_topology();
-        let (nersc, slac) = (t.dtn(Site::Nersc), t.dtn(Site::Slac));
-        let (ornl, nics) = (t.dtn(Site::Ornl), t.dtn(Site::Nics));
-        let run = |shards: Option<Shards>| {
-            let mut d = Driver::new(NetworkSim::new(t.graph.clone(), 0), 17);
-            let a = d.register_cluster("nersc", nersc, ServerCaps::default(), 2);
-            let b = d.register_cluster("slac", slac, ServerCaps::default(), 2);
-            let c = d.register_cluster("ornl", ornl, ServerCaps::default(), 2);
-            let e = d.register_cluster("nics", nics, ServerCaps::default(), 2);
-            d.schedule_session(
-                SimTime::ZERO,
-                a,
-                b,
-                SessionSpec::sequential(vec![job(512); 2], 0.0),
-            );
-            d.schedule_session(
-                SimTime::ZERO,
-                c,
-                e,
-                SessionSpec::sequential(vec![job(512); 2], 0.0),
-            );
-            d.schedule_resize(SimTime::from_secs(1), c, 1);
-            let bg = generate_background(
-                &t.graph,
-                &BackgroundConfig::default(),
-                SimTime::from_secs(60),
-                17,
-            );
-            d.schedule_background(bg);
-            match shards {
-                Some(s) => d.run_sharded(SimTime::from_secs(1_000_000), s),
-                None => d.run(SimTime::from_secs(1_000_000)),
-            }
-        };
-        let one = run(Some(Shards::Fixed(1)));
-        let many = run(Some(Shards::Fixed(8)));
-        assert_eq!(one.log, many.log);
-        assert_eq!(one.tstat.transfers, many.tstat.transfers);
-        assert_eq!(one.log.len(), 4);
-        // Background flows land somewhere; the resize slows the ORNL
-        // pair's second transfer in both modes alike.
-        let serial = run(None);
-        assert_eq!(serial.log.len(), 4, "serial baseline logs the same transfers");
-    }
-
-    proptest! {
-        /// Property form of the determinism contract: random session
-        /// shapes and fault plans over disjoint pairs produce
-        /// identical logs, tstat, and resilience at shard counts
-        /// 1, 2, and N — with the parallel feature on or off.
-        #[test]
-        fn prop_sharded_equivalence_across_shard_counts(
-            seed in 0u64..500,
-            jobs_a in 1usize..4,
-            jobs_b in 1usize..4,
-            conc in 1u32..3,
-            gap_s in 0.0f64..3.0,
-            fail_first in 0u32..3,
-            with_vc in proptest::bool::ANY,
-        ) {
-            use gvc_faults::FaultPlan;
-            let run = |shards: Shards| {
-                let t = study_topology();
-                let tl = TimelineHandle::new(gvc_telemetry::DEFAULT_WIDTH_US);
-                let ctx = Telemetry::metrics_only().with_timeline(tl.clone());
-                let mut d = Driver::new(NetworkSim::new(t.graph.clone(), 0), seed)
-                    .with_telemetry(&ctx);
-                if with_vc {
-                    d = d.with_idc(Idc::new(t.graph.clone(), SetupDelayModel::one_minute()));
-                }
-                d = d.with_faults(FaultPlan {
-                    fail_first_provisions: fail_first,
-                    ..FaultPlan::default()
-                });
-                let a = d.register_cluster("nersc", t.dtn(Site::Nersc), ServerCaps::default(), 2);
-                let b = d.register_cluster("slac", t.dtn(Site::Slac), ServerCaps::default(), 2);
-                let c = d.register_cluster("ornl", t.dtn(Site::Ornl), ServerCaps::default(), 2);
-                let e = d.register_cluster("nics", t.dtn(Site::Nics), ServerCaps::default(), 2);
-                let mut spec_a =
-                    SessionSpec::sequential(vec![job(64); jobs_a], gap_s).with_concurrency(conc);
-                if with_vc {
-                    spec_a = spec_a.with_vc(vc_spec());
-                }
-                d.schedule_session(SimTime::ZERO, a, b, spec_a);
-                d.schedule_session(
-                    SimTime::from_secs(1),
-                    c,
-                    e,
-                    SessionSpec::sequential(vec![job(64); jobs_b], gap_s),
-                );
-                let out = d.run_sharded(SimTime::from_secs(1_000_000), shards);
-                out.sim.record_timeline(&tl);
-                (out, tl.to_json())
-            };
-            let (one, tl_one) = run(Shards::Fixed(1));
-            let (two, tl_two) = run(Shards::Fixed(2));
-            let (many, tl_many) = run(Shards::Fixed(9));
-            prop_assert_eq!(&one.log, &two.log);
-            prop_assert_eq!(&one.log, &many.log);
-            prop_assert_eq!(&one.tstat.transfers, &two.tstat.transfers);
-            prop_assert_eq!(&one.tstat.transfers, &many.tstat.transfers);
-            prop_assert_eq!(one.resilience, two.resilience);
-            prop_assert_eq!(one.resilience, many.resilience);
-            prop_assert_eq!(one.idc_stats, many.idc_stats);
-            prop_assert_eq!(one.open_reservations, many.open_reservations);
-            prop_assert_eq!(&tl_one, &tl_two);
-            prop_assert_eq!(&tl_one, &tl_many);
-        }
     }
 }

@@ -25,7 +25,7 @@ pub mod session;
 pub mod transfer;
 
 pub use driver::{
-    Driver, DriverOutput, DriverTelemetry, ResilienceReport, Shards, TransferStat, TstatReport,
+    Driver, DriverOutput, DriverTelemetry, ResilienceReport, TransferStat, TstatReport,
 };
 pub use server::{ServerCaps, ServerCluster};
 pub use session::{SessionSpec, VcRequestSpec};

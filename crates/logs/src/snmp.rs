@@ -139,42 +139,12 @@ impl SnmpSeries {
     pub fn total_bytes(&self) -> u64 {
         self.bins.iter().sum()
     }
-
-    /// Folds another series' bins into this one, matched by absolute
-    /// time. The series must share a bin width; bins before this
-    /// series' origin are dropped as pre-monitoring traffic (the
-    /// [`SnmpSeries::add_bytes`] rule). Zero bins still extend the
-    /// recorded range, so a merge of partial series covers the same
-    /// bins the equivalent single series would.
-    ///
-    /// # Panics
-    /// Panics on a bin-width mismatch.
-    pub fn absorb(&mut self, other: &SnmpSeries) {
-        assert_eq!(self.bin_width_us, other.bin_width_us, "SNMP bin width mismatch");
-        for i in 0..other.len() {
-            self.add_bytes(other.bin_start(i), other.bytes_in_bin(i));
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn absorb_adds_bins_by_absolute_time() {
-        let mut a = SnmpSeries::thirty_second("if0", 0);
-        a.add_bytes(0, 10);
-        let mut b = SnmpSeries::thirty_second("if0", 0);
-        b.add_bytes(15_000_000, 5);
-        b.add_bytes(90_000_000, 7); // bin 3: extends a's range
-        a.absorb(&b);
-        assert_eq!(a.bytes_in_bin(0), 15);
-        assert_eq!(a.bytes_in_bin(3), 7);
-        assert_eq!(a.len(), b.len(), "zero bins extend the recorded range");
-        assert_eq!(a.total_bytes(), 22);
-    }
 
     #[test]
     fn add_bytes_lands_in_right_bin() {

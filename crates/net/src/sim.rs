@@ -251,28 +251,14 @@ impl NetworkSim {
         self.background_tag = Some(tag);
     }
 
-    /// Folds another recorder's SNMP counters into this sim's (see
-    /// [`SnmpRecorder::absorb`]). Sharded runs use this to merge each
-    /// lane's counters back into the coordinator's sim.
-    pub fn absorb_snmp(&mut self, other: &SnmpRecorder) {
-        self.snmp.absorb(other);
-    }
-
-    /// Folds another recorder's background-only counters in (the
-    /// sharded-merge twin of [`NetworkSim::absorb_snmp`]).
-    pub fn absorb_bg_snmp(&mut self, other: &SnmpRecorder) {
-        self.bg_snmp.absorb(other);
-    }
-
-    /// Derives the per-link timeline series from the (merged) SNMP
-    /// counters: `net.link_util[<iface>]` and `net.bg_util[<iface>]`
+    /// Derives the per-link timeline series from the SNMP counters:
+    /// `net.link_util[<iface>]` and `net.bg_util[<iface>]`
     /// as utilization fractions of link capacity per timeline window,
     /// each counter bin distributed over the windows it overlaps.
     ///
-    /// Called exactly once after a run completes (after sharded lanes
-    /// are absorbed), so the series inherit the integer-bin shard
-    /// invariance of the recorder instead of depending on float
-    /// integration order. Utilization is relative to the link's
+    /// Called exactly once after a run completes, so the series come
+    /// from the recorder's integer byte bins instead of depending on
+    /// float integration order. Utilization is relative to the link's
     /// capacity at derivation time.
     pub fn record_timeline(&self, tl: &TimelineHandle) {
         let width_s = tl.width_us() as f64 / 1e6;

@@ -79,9 +79,8 @@ impl IdcTelemetry {
         }
     }
 
-    /// Attaches a sim-time flight recorder. The IDC lives in exactly
-    /// one shard lane, so its calendar-occupancy samples are
-    /// shard-invariant by construction.
+    /// Attaches a sim-time flight recorder for the calendar-occupancy
+    /// samples.
     #[must_use]
     pub fn with_timeline(mut self, timeline: Option<TimelineHandle>) -> IdcTelemetry {
         self.timeline = timeline;
@@ -213,29 +212,6 @@ impl Idc {
     /// The setup-delay model in force.
     pub fn setup_model(&self) -> SetupDelayModel {
         self.setup
-    }
-
-    /// A fresh controller sharing this one's graph, setup model, and
-    /// reservable-fraction policy, with an empty calendar and ids
-    /// starting at `id_base`.
-    ///
-    /// Sharded runs hand each lane a fork with a disjoint id range so
-    /// lane-issued [`ReservationId`]s never collide in merged output.
-    /// The fork's calendar is private: correctness relies on the lane
-    /// partition guaranteeing no two lanes reserve on the same links,
-    /// so the calendars can never disagree about shared capacity.
-    pub fn fork_with_id_base(&self, id_base: u64) -> Idc {
-        Idc {
-            graph: self.graph.clone(),
-            calendar: NetworkCalendar::new(),
-            setup: self.setup,
-            reservable_fraction: self.reservable_fraction,
-            reservations: HashMap::new(),
-            next_id: id_base,
-            stats: IdcStats::default(),
-            telemetry: None,
-            circuit_spans: BTreeMap::new(),
-        }
     }
 
     /// Admission statistics so far.
@@ -737,20 +713,6 @@ mod tests {
             idc.provision(id, SimTime::from_secs(1)),
             Err(IdcError::InvalidState(id, ReservationState::Active))
         );
-    }
-
-    #[test]
-    fn fork_shares_policy_but_not_state() {
-        let (mut idc, req) = idc();
-        idc.create_reservation(req).unwrap();
-        let mut lane = idc.fork_with_id_base(1u64 << 32);
-        // Fresh calendar: the fork admits as if nothing were committed.
-        let id = lane.create_reservation(req).unwrap();
-        assert_eq!(id, ReservationId(1u64 << 32), "ids start at the base");
-        assert_eq!(lane.stats(), IdcStats { requests: 1, admitted: 1, blocked: 0 });
-        assert_eq!(lane.setup_model(), idc.setup_model());
-        assert_eq!(idc.stats().requests, 1, "parent untouched");
-        assert_eq!(lane.open_reservations(), 1);
     }
 
     #[test]

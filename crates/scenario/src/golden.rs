@@ -1,7 +1,7 @@
 //! Canonical golden serialization and line-level diffs.
 //!
-//! Goldens must be byte-identical across reruns, shard counts, and
-//! feature sets, so the report JSON here is hand-rendered with a fixed
+//! Goldens must be byte-identical across reruns and feature sets,
+//! so the report JSON here is hand-rendered with a fixed
 //! key order and **excludes** the manifest's wall-clock start and
 //! crate version (the only nondeterministic / release-varying fields
 //! in a [`FeasibilityReport`]). Pretty multi-line output keeps

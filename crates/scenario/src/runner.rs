@@ -3,17 +3,16 @@
 //! Paper profiles delegate to the `gvc-workload` generators (which
 //! register their own clusters on the study topology); synthetic
 //! profiles build the spec's topology, register its clusters, and
-//! drive the sharded kernel with faults and telemetry attached. Either
-//! way the outcome is deterministic per seed — byte-identical at every
-//! shard count — so its canonical serialization can be held as a
-//! golden.
+//! run the driver with faults and telemetry attached. Either way the
+//! outcome is deterministic per seed, so its canonical serialization
+//! can be held as a golden.
 
 use std::sync::Arc;
 
 use gvc_core::{feasibility_report, FeasibilityReport, ResilienceSummary};
 use gvc_engine::SimTime;
 use gvc_faults::FaultPlan;
-use gvc_gridftp::driver::{Driver, Shards};
+use gvc_gridftp::driver::Driver;
 use gvc_gridftp::ServerCaps;
 use gvc_net::NetworkSim;
 use gvc_oscars::{Idc, InterDomainController, SetupDelayModel};
@@ -53,11 +52,11 @@ fn fmt_num(x: f64) -> String {
     }
 }
 
-/// Runs a scenario at the given shard setting.
-pub fn run_scenario(spec: &ScenarioSpec, shards: Shards) -> Result<ScenarioOutcome, ScenarioError> {
+/// Runs a scenario.
+pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioOutcome, ScenarioError> {
     match &spec.workload {
         WorkloadSpec::Paper { profile, scale } => run_paper(spec, *profile, *scale),
-        WorkloadSpec::Synthetic(_) => run_synthetic(spec, shards),
+        WorkloadSpec::Synthetic(_) => run_synthetic(spec),
     }
 }
 
@@ -97,7 +96,7 @@ fn push_headline(stats: &mut String, report: &FeasibilityReport) {
     }
 }
 
-fn run_synthetic(spec: &ScenarioSpec, shards: Shards) -> Result<ScenarioOutcome, ScenarioError> {
+fn run_synthetic(spec: &ScenarioSpec) -> Result<ScenarioOutcome, ScenarioError> {
     let WorkloadSpec::Synthetic(wl) = &spec.workload else {
         return Err(ScenarioError::Run("synthetic runner wants a synthetic workload".into()));
     };
@@ -143,7 +142,7 @@ fn run_synthetic(spec: &ScenarioSpec, shards: Shards) -> Result<ScenarioOutcome,
     }
 
     let limit = SimTime::from_secs_f64(wl.horizon_s + DRAIN_SLACK_S);
-    let result = driver.run_sharded(limit, shards);
+    let result = driver.run(limit);
     result.sim.record_timeline(&timeline);
 
     let mut report = feasibility_report(&result.log);

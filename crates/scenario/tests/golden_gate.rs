@@ -1,11 +1,10 @@
 //! The golden gate itself: every committed scenario golden matches a
-//! fresh run byte-for-byte at several shard counts, and the diff
-//! machinery that reports drift does so with line-level precision.
+//! fresh run byte-for-byte, and the diff machinery that reports drift
+//! does so with line-level precision.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use gvc_gridftp::driver::Shards;
 use gvc_scenario::spec::WorkloadSpec;
 use gvc_scenario::{discover, line_diff, run_scenario};
 
@@ -59,12 +58,9 @@ fn long_diffs_are_elided_after_ten_lines() {
 
 // --- the corpus gate ------------------------------------------------
 
-/// Every committed golden is reproduced byte-exactly by a fresh run,
-/// and the report is invariant across shard counts — including the
-/// sequential `Shards::Fixed(1)` path that `--no-default-features`
-/// builds always take.
+/// Every committed golden is reproduced byte-exactly by a fresh run.
 #[test]
-fn corpus_goldens_match_at_every_shard_count() {
+fn corpus_goldens_match_byte_for_byte() {
     let dir = corpus_dir();
     let entries = discover(&dir).expect("scenario corpus must be discoverable");
     assert!(entries.len() >= 8, "corpus shrank to {} specs", entries.len());
@@ -74,26 +70,25 @@ fn corpus_goldens_match_at_every_shard_count() {
             .unwrap_or_else(|e| panic!("{}: missing golden report.json: {e}", entry.name));
         let want_stats = fs::read_to_string(golden_dir.join("stats.txt"))
             .unwrap_or_else(|e| panic!("{}: missing golden stats.txt: {e}", entry.name));
-        let baseline = run_scenario(&entry.spec, Shards::Fixed(1))
-            .unwrap_or_else(|e| panic!("{}: run failed: {e}", entry.name));
-        if let Some(diff) = line_diff(&want_report, &baseline.report_json) {
+        let run =
+            run_scenario(&entry.spec).unwrap_or_else(|e| panic!("{}: run failed: {e}", entry.name));
+        if let Some(diff) = line_diff(&want_report, &run.report_json) {
             panic!("{}: report.json drifted from golden:\n{diff}", entry.name);
         }
-        if let Some(diff) = line_diff(&want_stats, &baseline.stats_text) {
+        if let Some(diff) = line_diff(&want_stats, &run.stats_text) {
             panic!("{}: stats.txt drifted from golden:\n{diff}", entry.name);
         }
         assert!(
-            baseline.violations.is_empty(),
+            run.violations.is_empty(),
             "{}: bound violations: {:?}",
             entry.name,
-            baseline.violations
+            run.violations
         );
-        // Paper-profile scenarios never touch the sharded driver (the
-        // calibrated generators sample directly), so re-running them
-        // at other shard counts proves nothing — skip the variants.
+        // Paper-profile scenarios never run the driver (the
+        // calibrated generators sample directly): no timeline golden.
         if matches!(entry.spec.workload, WorkloadSpec::Paper { .. }) {
             assert!(
-                baseline.timeline_json.is_none(),
+                run.timeline_json.is_none(),
                 "{}: paper profiles must not produce a timeline",
                 entry.name
             );
@@ -103,27 +98,12 @@ fn corpus_goldens_match_at_every_shard_count() {
         // recorder as a third golden.
         let want_timeline = fs::read_to_string(golden_dir.join("timeline.json"))
             .unwrap_or_else(|e| panic!("{}: missing golden timeline.json: {e}", entry.name));
-        let baseline_timeline = baseline
+        let timeline = run
             .timeline_json
             .as_deref()
             .unwrap_or_else(|| panic!("{}: synthetic run produced no timeline", entry.name));
-        if let Some(diff) = line_diff(&want_timeline, baseline_timeline) {
+        if let Some(diff) = line_diff(&want_timeline, timeline) {
             panic!("{}: timeline.json drifted from golden:\n{diff}", entry.name);
-        }
-        for shards in [Shards::Fixed(2), Shards::Fixed(5), Shards::Auto] {
-            let run = run_scenario(&entry.spec, shards)
-                .unwrap_or_else(|e| panic!("{}: run failed at {shards:?}: {e}", entry.name));
-            if let Some(diff) = line_diff(&baseline.report_json, &run.report_json) {
-                panic!("{}: report not shard-invariant at {shards:?}:\n{diff}", entry.name);
-            }
-            if let Some(diff) = line_diff(&baseline.stats_text, &run.stats_text) {
-                panic!("{}: stats not shard-invariant at {shards:?}:\n{diff}", entry.name);
-            }
-            if let Some(diff) =
-                line_diff(baseline_timeline, run.timeline_json.as_deref().unwrap_or(""))
-            {
-                panic!("{}: timeline not shard-invariant at {shards:?}:\n{diff}", entry.name);
-            }
         }
     }
 }
@@ -140,7 +120,7 @@ fn corpus_catches_a_perturbed_golden() {
         .expect("metro-ring must stay in the corpus");
     let golden =
         fs::read_to_string(dir.join("goldens/metro-ring/report.json")).expect("golden report.json");
-    let run = run_scenario(&entry.spec, Shards::Auto).expect("run");
+    let run = run_scenario(&entry.spec).expect("run");
     assert_eq!(line_diff(&golden, &run.report_json), None, "golden must match before perturbing");
     let perturbed = golden.replacen("\"n_transfers\":", "\"n_transfers\":  ", 1);
     assert_ne!(perturbed, golden, "perturbation must change the text");

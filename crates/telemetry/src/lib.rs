@@ -22,10 +22,9 @@
 //!   (self/total time, folded stacks), per-session timelines, and
 //!   structural checks. Powers the `gvc trace` subcommands.
 //! * [`timeline`] — the sim-time flight recorder: fixed-width
-//!   windowed series ([`TimelineRecorder`]) with deterministic
-//!   cross-lane merging, SLO burn rules, and canonical JSON/CSV
-//!   renderings. Powers `gvc simulate --timeline` and the
-//!   `gvc timeline` subcommands.
+//!   windowed series ([`TimelineRecorder`]), SLO burn rules, and
+//!   canonical JSON/CSV renderings. Powers `gvc simulate --timeline`
+//!   and the `gvc timeline` subcommands.
 //! * [`serve`] — a minimal std-only HTTP scrape endpoint
 //!   ([`MetricsServer`]) exposing the registry on `/metrics` and the
 //!   timeline-so-far on `/timeline.json`.

@@ -234,11 +234,9 @@ impl TraceSink for RingSink {
 
 /// Unbounded in-memory sink retaining every event in emission order.
 ///
-/// Built for sharded runs: each lane traces into its own
-/// `BufferSink`, and the coordinator replays the buffers into the
-/// run's real sink in lane order, so the merged stream is a pure
-/// function of the lane contents — independent of how the lanes were
-/// interleaved on the host.
+/// For callers that inspect a whole run's trace in memory after it
+/// finishes, without a file: the scenario runner checks its span
+/// structure this way.
 #[derive(Default)]
 pub struct BufferSink {
     buf: Mutex<Vec<TraceEvent>>,
@@ -292,20 +290,6 @@ impl Tracer {
     /// A tracer writing into `sink`.
     pub fn to_sink(sink: Arc<dyn TraceSink>) -> Tracer {
         Tracer { sink: Some(sink), span_seq: Arc::default() }
-    }
-
-    /// A tracer writing into `sink` whose span ids start *after*
-    /// `span_id_base` (the first id handed out is `base + 1`).
-    ///
-    /// Sharded runs give each lane a disjoint id range so merged span
-    /// streams never collide, and — because the range depends only on
-    /// the lane's position, not on execution order — stay
-    /// byte-identical however the lanes were scheduled.
-    pub fn to_sink_with_span_base(sink: Arc<dyn TraceSink>, span_id_base: u64) -> Tracer {
-        Tracer {
-            sink: Some(sink),
-            span_seq: Arc::new(std::sync::atomic::AtomicU64::new(span_id_base)),
-        }
     }
 
     /// Is a sink attached? Hot paths may use this to skip building
@@ -426,17 +410,6 @@ mod tests {
         assert_eq!(evs[0].t_us, 0);
         assert_eq!(evs[99].t_us, 99);
         assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn span_base_offsets_ids_without_colliding() {
-        use crate::span::SpanId;
-        let ring = Arc::new(RingSink::new(8));
-        let t = Tracer::to_sink_with_span_base(ring.clone(), 1u64 << 40);
-        let id = t.span_enter(SpanId::NONE, 0, "driver.lane");
-        assert_eq!(id, SpanId((1u64 << 40) + 1));
-        t.span_exit(id, 5);
-        assert_eq!(ring.len(), 2);
     }
 
     #[test]

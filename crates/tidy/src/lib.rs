@@ -7,7 +7,7 @@
 //! spans ([`diag`]). Since v2 the engine is workspace-aware: an item
 //! graph with lexical name resolution and a call-graph-lite
 //! ([`graph`], [`resolve`]) feeds interprocedural rules
-//! ([`semrules`]) that prove determinism confinement, lane isolation,
+//! ([`semrules`]) that prove determinism confinement, fan-out isolation,
 //! `parallel`-feature cfg-parity, and unordered-iteration flow across
 //! crate boundaries. The [`runner`] walks the workspace and applies
 //! every rule; the `gvc-tidy` binary wires that to an exit code, the

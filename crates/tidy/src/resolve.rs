@@ -312,11 +312,9 @@ mod tests {
     fn signature_normalization() {
         assert_eq!(
             normalize_sig(
-                "fn run_lanes(lanes: Vec<Driver>, limit: SimTime, _threads: usize,\n) -> Vec<R> {"
+                "fn sweep_pairs(pairs: Vec<Pair>, ctx: &Ctx, _threads: usize,\n) -> Vec<R> {"
             ),
-            normalize_sig(
-                "fn run_lanes(lanes: Vec<Driver>, limit: SimTime, threads: usize) -> Vec<R>"
-            )
+            normalize_sig("fn sweep_pairs(pairs: Vec<Pair>, ctx: &Ctx, threads: usize) -> Vec<R>")
         );
         assert_ne!(normalize_sig("fn f(a: u32)"), normalize_sig("fn f(a: u64)"));
         // `where` clauses are not part of the comparable surface.

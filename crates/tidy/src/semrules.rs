@@ -9,9 +9,10 @@
 //!   `gvc-telemetry`, proven over the call graph (a wrapper two hops
 //!   away from `Instant::now()` is as nondeterministic as the probe
 //!   itself);
-//! * `lane-isolation` — crates the sharded driver fans out over hold
-//!   no shared mutable state, and types crossing a lane-spawn
-//!   boundary hold no non-`Send` interior mutability;
+//! * `lane-isolation` — crates whose code runs inside a rayon fan-out
+//!   (the `gvc-core` sweep, the `gvc-bench` dataset generation) hold
+//!   no shared mutable state, and types crossing a fan-out boundary
+//!   hold no non-`Send` interior mutability;
 //! * `cfg-parity` — every `#[cfg(feature = "parallel")]` module-level
 //!   item has a sequential twin with an agreeing signature, so
 //!   `--no-default-features` builds cannot drift;
@@ -269,17 +270,21 @@ impl WorkspaceRule for DeterminismConfinement {
     }
 }
 
-/// Crates the sharded driver fans event lanes out over: every lib
-/// crate except the host-facing telemetry crate.
+/// Crates whose code runs on the branches of a rayon fan-out: the
+/// `gvc-core` sweep splits server pairs with `rayon::join`, and
+/// `gvc-bench`'s `Scenarios::generate` runs the four calibrated
+/// generators (and so every simulation crate beneath them) in
+/// parallel. That is every lib crate except the host-facing telemetry
+/// crate.
 fn lane_crates() -> Vec<&'static str> {
     LIB_CRATES.iter().copied().filter(|k| *k != "telemetry").collect()
 }
 
-/// Shared-mutable-state tokens banned in lane-fanned crates. Lane
-/// merge determinism (engine/shard.rs) relies on lanes being
-/// resource-disjoint: any cross-lane channel — locks, atomics,
-/// mutable statics, thread-locals — lets lane *timing* leak into
-/// results.
+/// Shared-mutable-state tokens banned in fan-out crates. The
+/// parallel sweep and dataset generation match their sequential
+/// builds byte for byte only because the branches share nothing: any
+/// channel between them — locks, atomics, mutable statics,
+/// thread-locals — lets thread *timing* leak into results.
 const SHARED_STATE_TOKENS: &[&str] = &[
     "static mut",
     "Mutex",
@@ -305,11 +310,11 @@ const SHARED_STATE_TOKENS: &[&str] = &[
 /// Interior-mutability / non-`Send` hazards in struct fields.
 const FIELD_HAZARDS: &[&str] = &["Rc<", "RefCell<", "Cell<", "UnsafeCell<", "*mut ", "*const "];
 
-/// Tokens marking a fn body as a lane-spawn site.
+/// Tokens marking a fn body as a fan-out site.
 const SPAWN_TOKENS: &[&str] = &["rayon::join", "thread::scope"];
 
-/// `lane-isolation`: no shared mutable state in lane-fanned crates,
-/// and types named in lane-spawning fn signatures must not hold
+/// `lane-isolation`: no shared mutable state in fan-out crates, and
+/// types named in the signatures of fan-out fns must not hold
 /// non-`Send` interior mutability (checked recursively through
 /// workspace struct fields).
 pub struct LaneIsolation {
@@ -329,7 +334,7 @@ impl WorkspaceRule for LaneIsolation {
     }
 
     fn description(&self) -> &'static str {
-        "no shared mutable state in lane-fanned crates; lane-boundary types must be Send-safe"
+        "no shared mutable state in rayon fan-out crates; fan-out boundary types must be Send-safe"
     }
 
     fn allowlist(&self) -> &[String] {
@@ -340,7 +345,7 @@ impl WorkspaceRule for LaneIsolation {
         let g = &ws.graph;
         let lanes = lane_crates();
         let mut out = Vec::new();
-        // Token scan over non-test lines of lane-crate sources.
+        // Token scan over non-test lines of fan-out crate sources.
         for file in &ws.files {
             let Some((krate, tail)) = crate_of(&file.rel_path) else {
                 continue;
@@ -363,9 +368,9 @@ impl WorkspaceRule for LaneIsolation {
                             idx,
                             col,
                             format!(
-                                "shared mutable state `{tok}` in lane-fanned crate `{krate}`: \
-                                 cross-lane channels make merge order timing-dependent and break \
-                                 byte-identical replay"
+                                "shared mutable state `{tok}` in fan-out crate `{krate}`: \
+                                 a channel between fan-out branches makes results depend on \
+                                 thread timing and breaks byte-identical replay"
                             ),
                         ));
                     }
@@ -373,7 +378,7 @@ impl WorkspaceRule for LaneIsolation {
             }
         }
         // Send-boundary: types named in the signature of any fn that
-        // spawns lanes must not hold interior mutability, transitively
+        // fans out must not hold interior mutability, transitively
         // through workspace struct fields.
         let mut seen: BTreeSet<(String, usize)> = BTreeSet::new();
         for f in &g.fns {
@@ -400,8 +405,8 @@ impl WorkspaceRule for LaneIsolation {
 
 impl LaneIsolation {
     /// Recursively scans the fields of workspace type `name` (when it
-    /// lives in a lane crate) for interior-mutability hazards,
-    /// attributing findings to the lane boundary of `spawn_fn`.
+    /// lives in a fan-out crate) for interior-mutability hazards,
+    /// attributing findings to the fan-out boundary of `spawn_fn`.
     #[allow(clippy::too_many_arguments)]
     fn scan_type(
         &self,
@@ -439,8 +444,8 @@ impl LaneIsolation {
                                 *line,
                                 col,
                                 format!(
-                                    "`{}` crosses the `{spawn_fn}` lane boundary but holds \
-                                     `{}`; lane closures may only capture Send state",
+                                    "`{}` crosses the `{spawn_fn}` fan-out boundary but holds \
+                                     `{}`; fan-out closures may only capture Send state",
                                     t.name,
                                     hz.trim_end()
                                 ),
