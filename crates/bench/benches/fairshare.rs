@@ -1,27 +1,21 @@
 //! Microbenchmarks of the max-min fair-share solver and CSPF — the two
 //! inner loops of the fluid simulator and the IDC.
+//!
+//! The solver workload is `gvc_bench::perfsuite::fairshare_table`, the
+//! input `gvc perf snapshot` measures as `net.fairshare.solves_per_sec`
+//! (at 100 flows). Set `GVC_PERF_SNAPSHOT_DIR` to also drop a snapshot.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use gvc_net::{max_min_allocation, CapacityConstraint, FlowDemand};
+use criterion::{criterion_group, Criterion, Throughput};
+use gvc_bench::perfsuite::{emit_snapshot_for_bench, fairshare_solves, fairshare_table};
 use gvc_topology::{constrained_shortest_path, shortest_path, study_topology, Site};
 
 fn bench_max_min(c: &mut Criterion) {
     let mut g = c.benchmark_group("max_min");
     for &nflows in &[10usize, 100, 1000] {
-        let constraints: Vec<CapacityConstraint> =
-            (0..40).map(|_| CapacityConstraint { capacity_bps: 10e9 }).collect();
-        let flows: Vec<FlowDemand> = (0..nflows)
-            .map(|i| FlowDemand {
-                constraints: vec![i % 40, (i * 7 + 3) % 40, (i * 13 + 1) % 40],
-                min_rate_bps: if i % 10 == 0 { 1e9 } else { 0.0 },
-                max_rate_bps: if i % 3 == 0 { 2e9 } else { f64::INFINITY },
-            })
-            .collect();
+        let (constraints, flows) = fairshare_table(nflows);
         g.throughput(Throughput::Elements(nflows as u64));
         g.bench_function(format!("flows_{nflows}"), |b| {
-            b.iter(|| {
-                max_min_allocation(std::hint::black_box(&constraints), std::hint::black_box(&flows))
-            });
+            b.iter(|| fairshare_solves(&constraints, &flows, 1));
         });
     }
     g.finish();
@@ -43,4 +37,10 @@ fn bench_routing(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_max_min, bench_routing);
-criterion_main!(benches);
+
+fn main() {
+    benches();
+    if let Some(path) = emit_snapshot_for_bench("net") {
+        println!("wrote perf snapshot {}", path.display());
+    }
+}

@@ -2,7 +2,8 @@
 //! `gvc perf snapshot` and the criterion benches.
 //!
 //! One definition of each hot-path workload (kernel schedule/pop,
-//! session-sweep grid, trace parsing, session grouping) shared by
+//! session-sweep grid, trace parsing, session grouping, the max-min
+//! solver, SLAC log generation) shared by
 //! both measurement layers, so criterion's `Melem/s` lines and the
 //! `BENCH_*.json` snapshots never disagree about what a number means.
 //! All timing goes through [`gvc_telemetry::perf::measure_throughput`]
@@ -13,15 +14,18 @@ use gvc_core::sessions::group_sessions;
 use gvc_core::sweep::SessionStore;
 use gvc_engine::{EventQueue, SimTime};
 use gvc_logs::{Dataset, TransferRecord, TransferType};
+use gvc_net::{max_min_allocation, CapacityConstraint, FlowDemand};
 use gvc_scenario::{run_scenario, ScenarioSpec};
 use gvc_telemetry::parse_trace;
 use gvc_telemetry::perf::{measure_throughput, median, BenchMetric, PerfSnapshot};
 use gvc_tidy::{run_sources, RuleSet};
+use gvc_workload::builtin_generator;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// The snapshot names `gvc perf snapshot` produces, in emission order.
-pub const SNAPSHOT_NAMES: &[&str] = &["kernel", "sweep", "analysis", "tidy", "scenario"];
+pub const SNAPSHOT_NAMES: &[&str] =
+    &["kernel", "sweep", "analysis", "tidy", "scenario", "net", "workload"];
 
 /// The committed `esnet-backbone` scenario spec, embedded so the
 /// snapshot measures exactly the workload the golden corpus gates
@@ -56,6 +60,45 @@ pub fn kernel_schedule_pop(n: usize) -> u64 {
     }
     std::hint::black_box(acc);
     n as u64
+}
+
+/// A max-min solver input: `nflows` flows over 40 constraints of
+/// 10 Gbps, three constraints per flow, every tenth flow guaranteed
+/// 1 Gbps and every third capped at 2 Gbps. The `max_min` criterion
+/// workload.
+pub fn fairshare_table(nflows: usize) -> (Vec<CapacityConstraint>, Vec<FlowDemand>) {
+    let constraints = (0..40).map(|_| CapacityConstraint { capacity_bps: 10e9 }).collect();
+    let flows = (0..nflows)
+        .map(|i| FlowDemand {
+            constraints: vec![i % 40, (i * 7 + 3) % 40, (i * 13 + 1) % 40],
+            min_rate_bps: if i % 10 == 0 { 1e9 } else { 0.0 },
+            max_rate_bps: if i % 3 == 0 { 2e9 } else { f64::INFINITY },
+        })
+        .collect();
+    (constraints, flows)
+}
+
+/// Solves `flows` over `constraints` `solves` times through the public
+/// solver entry point. Returns the number of solves.
+pub fn fairshare_solves(
+    constraints: &[CapacityConstraint],
+    flows: &[FlowDemand],
+    solves: usize,
+) -> u64 {
+    for _ in 0..solves {
+        std::hint::black_box(max_min_allocation(
+            std::hint::black_box(constraints),
+            std::hint::black_box(flows),
+        ));
+    }
+    solves as u64
+}
+
+/// Generates the registered SLAC–BNL log (seed 1) at `scale`, the
+/// fluid simulation `gvc generate slac` runs. Returns the number of
+/// transfers logged.
+pub fn slac_transfers(scale: f64) -> u64 {
+    builtin_generator("slac").map_or(0, |g| (g.generate)(1, scale).len() as u64)
 }
 
 /// A synthetic log of `n` transfers across `pairs` server pairs, with
@@ -219,7 +262,9 @@ fn throughput_metric(id: &str, unit: &str, items: u64, samples: Vec<f64>) -> Ben
 /// Standard sizes at `scale = 1.0`: kernel 200k events, sweep 200k
 /// records × the 8×4 grid, analysis 50k trace lines + 100k records,
 /// tidy 120 synthetic source files through the full v2 engine,
-/// scenario one full `esnet-backbone` corpus run (scale-independent).
+/// scenario one full `esnet-backbone` corpus run (scale-independent),
+/// net 2000 solves of the 100-flow [`fairshare_table`], workload the
+/// SLAC generator at scale 0.01 (never below 0.001).
 pub fn run_snapshot(name: &str, reps: u64, scale: f64) -> Option<PerfSnapshot> {
     let mut snap = PerfSnapshot::new(name, reps);
     match name {
@@ -290,6 +335,28 @@ pub fn run_snapshot(name: &str, reps: u64, scale: f64) -> Option<PerfSnapshot> {
             let (items, rates) = measure_throughput(reps, || scenario_transfers(&spec));
             snap.metrics.push(throughput_metric(
                 "scenario.run.transfers_per_sec",
+                "transfers/sec",
+                items,
+                rates,
+            ));
+        }
+        "net" => {
+            let (constraints, flows) = fairshare_table(100);
+            let solves = scaled(2000, scale);
+            let (items, rates) =
+                measure_throughput(reps, || fairshare_solves(&constraints, &flows, solves));
+            snap.metrics.push(throughput_metric(
+                "net.fairshare.solves_per_sec",
+                "solves/sec",
+                items,
+                rates,
+            ));
+        }
+        "workload" => {
+            let slac_scale = (0.01 * scale).max(0.001);
+            let (items, rates) = measure_throughput(reps, || slac_transfers(slac_scale));
+            snap.metrics.push(throughput_metric(
+                "workload.slac.transfers_per_sec",
                 "transfers/sec",
                 items,
                 rates,

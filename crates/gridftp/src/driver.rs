@@ -25,7 +25,7 @@ use gvc_telemetry::{
 };
 use gvc_topology::{LinkId, NodeId, Path};
 use rand::rngs::SmallRng;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Driver/transfer-lifecycle telemetry, registered from a
@@ -172,6 +172,10 @@ pub struct Driver {
     rng: SmallRng,
     pending: EventQueue<Event>,
     clusters: Vec<ServerCluster>,
+    /// Route per (source, destination) cluster pair, `None` when
+    /// disconnected. Exact: routes weigh only link delays, and the
+    /// simulator can change link capacities but not delays or links.
+    routes: HashMap<(ClusterId, ClusterId), Option<Path>>,
     sessions: Vec<SessionState>,
     in_flight: BTreeMap<u64, InFlight>,
     next_tag: u64,
@@ -214,6 +218,7 @@ impl Driver {
             rng: component_rng(seed, "gridftp-driver"),
             pending: EventQueue::new(),
             clusters: Vec::new(),
+            routes: HashMap::new(),
             sessions: Vec::new(),
             in_flight: BTreeMap::new(),
             next_tag: 1,
@@ -391,14 +396,6 @@ impl Driver {
     /// The attached sim-time flight recorder, if any.
     fn tl(&self) -> Option<&TimelineHandle> {
         self.telemetry.as_ref().and_then(|t| t.timeline.as_ref())
-    }
-
-    fn path_between(&self, src: ClusterId, dst: ClusterId) -> Option<Path> {
-        gvc_topology::shortest_path(
-            self.sim.graph(),
-            self.clusters[src.0].node,
-            self.clusters[dst.0].node,
-        )
     }
 
     /// Handles one script event, timing it per class when telemetry is
@@ -844,7 +841,11 @@ impl Driver {
     /// disconnected clusters are dropped.
     fn launch_job(&mut self, idx: usize, job_index: usize, job: TransferJob) -> bool {
         let (src, dst) = (self.sessions[idx].src, self.sessions[idx].dst);
-        let Some(path) = self.path_between(src, dst) else {
+        let (graph, clusters) = (self.sim.graph(), &self.clusters);
+        let route = self.routes.entry((src, dst)).or_insert_with(|| {
+            gvc_topology::shortest_path(graph, clusters[src.0].node, clusters[dst.0].node)
+        });
+        let Some(path) = route else {
             return false;
         };
         // Failure draws come from a stream keyed by (session, job) so
@@ -852,7 +853,7 @@ impl Driver {
         let mut fail_rng = component_rng(self.seed, &format!("gridftp-fail/{idx}/{job_index}"));
         let mut prepared: PreparedTransfer = prepare_transfer(
             self.sim.graph(),
-            &path,
+            path,
             &self.clusters[src.0],
             &self.clusters[dst.0],
             job,

@@ -42,9 +42,271 @@ const EPS: f64 = 1e-9;
 /// Guarantees that exceed a constraint's capacity are scaled down
 /// proportionally on that constraint (over-admission is the admission
 /// controller's bug, but the solver stays well-defined). Flows with an
-/// empty constraint list receive their `max_rate_bps` (or 0 if
-/// infinite).
+/// empty constraint list receive their `max_rate_bps` (or their
+/// guarantee if the cap is infinite).
+///
+/// # Panics
+/// Panics when a flow names a constraint index outside `constraints`.
 pub fn max_min_allocation(constraints: &[CapacityConstraint], flows: &[FlowDemand]) -> Vec<f64> {
+    let capacities: Vec<f64> = constraints.iter().map(|c| c.capacity_bps).collect();
+    let lists: Vec<Vec<ConstraintIx>> =
+        flows.iter().map(|f| sorted_unique(f.constraints.iter().copied())).collect();
+    let mut solver = Solver::default();
+    solver.solve(
+        &capacities,
+        flows.iter().zip(&lists).map(|(f, cs)| (cs.as_slice(), f.min_rate_bps, f.max_rate_bps)),
+    );
+    solver.alloc
+}
+
+/// `cs` sorted ascending with duplicates removed: the constraint-list
+/// form [`Solver::solve`] takes.
+pub(crate) fn sorted_unique(cs: impl IntoIterator<Item = ConstraintIx>) -> Vec<ConstraintIx> {
+    let mut v: Vec<ConstraintIx> = cs.into_iter().collect();
+    v.sort_unstable();
+    v.dedup();
+    v
+}
+
+/// The progressive-filling solver with reusable working storage.
+///
+/// A solve touches only the constraints that carry at least one flow,
+/// in ascending constraint-index order, through two compressed index
+/// lists: each flow's constraints and each constraint's flows (in flow
+/// order). Active-flow counts per constraint are kept incrementally.
+/// Every rate is the result of exactly the floating-point operations,
+/// in the same order, that a dense pass over all constraints and flows
+/// performs: constraints without flows contribute no operation to any
+/// rate, and each constraint's `remaining -= delta` runs once per
+/// active flow on it, in a row. [`crate::NetworkSim`] keeps one solver
+/// across recomputations, so a solve allocates nothing once the
+/// buffers have grown to the largest flow set seen.
+#[derive(Debug, Default)]
+pub(crate) struct Solver {
+    /// Per flow, in input order: the rate being built, its cap, and
+    /// whether it can still grow.
+    alloc: Vec<f64>,
+    max: Vec<f64>,
+    active: Vec<bool>,
+    n_active: usize,
+    /// Flow `f`'s constraints, as local indices, are
+    /// `flow_cons[flow_off[f]..flow_off[f + 1]]`.
+    flow_off: Vec<usize>,
+    flow_cons: Vec<usize>,
+    /// Indexed by global constraint: first the number of flows on it,
+    /// then its local index.
+    slot: Vec<usize>,
+    /// Per used constraint (local index, ascending global index): its
+    /// flows `con_flows[con_off[c]..con_off[c + 1]]` in flow order, its
+    /// remaining capacity and its active-flow count.
+    con_off: Vec<usize>,
+    con_flows: Vec<usize>,
+    remaining: Vec<f64>,
+    counts: Vec<usize>,
+}
+
+impl Solver {
+    /// Solves for `flows`, each given as (constraint list, guaranteed
+    /// minimum, cap) with its list sorted ascending and free of
+    /// duplicates. `capacities` is indexed by constraint. Read the
+    /// result with [`Solver::rates`].
+    ///
+    /// # Panics
+    /// Panics when a flow names a constraint index outside
+    /// `capacities`.
+    pub(crate) fn solve<'a>(
+        &mut self,
+        capacities: &[f64],
+        flows: impl IntoIterator<Item = (&'a [ConstraintIx], f64, f64)>,
+    ) {
+        self.load(capacities, flows);
+        self.scale_guarantees();
+        self.fill();
+    }
+
+    /// One rate per flow of the last [`Solver::solve`], in input order.
+    pub(crate) fn rates(&self) -> &[f64] {
+        &self.alloc
+    }
+
+    /// Copies the flows in and builds both index lists. Leaves each
+    /// used constraint's capacity in `remaining`.
+    fn load<'a>(
+        &mut self,
+        capacities: &[f64],
+        flows: impl IntoIterator<Item = (&'a [ConstraintIx], f64, f64)>,
+    ) {
+        self.alloc.clear();
+        self.max.clear();
+        self.flow_off.clear();
+        self.flow_cons.clear();
+        self.slot.clear();
+        self.slot.resize(capacities.len(), 0);
+        self.flow_off.push(0);
+        for (cons, min_rate, max_rate) in flows {
+            debug_assert!(cons.is_sorted_by(|a, b| a < b), "unsorted constraint list");
+            self.alloc.push(min_rate.min(max_rate));
+            self.max.push(max_rate);
+            for &c in cons {
+                assert!(c < capacities.len(), "constraint index out of range");
+                self.slot[c] += 1;
+            }
+            self.flow_cons.extend_from_slice(cons);
+            self.flow_off.push(self.flow_cons.len());
+        }
+
+        // Used constraints in ascending global order; `slot` switches
+        // from flow count to local index.
+        self.con_off.clear();
+        self.remaining.clear();
+        let mut end = 0;
+        for (c, slot) in self.slot.iter_mut().enumerate() {
+            if *slot > 0 {
+                self.con_off.push(end);
+                end += *slot;
+                *slot = self.remaining.len();
+                self.remaining.push(capacities[c]);
+            }
+        }
+        self.con_off.push(end);
+
+        // Each constraint's flows in flow order, with `counts` as the
+        // fill cursor; flow lists switch to local indices.
+        let used = self.remaining.len();
+        self.counts.clear();
+        self.counts.extend_from_slice(&self.con_off[..used]);
+        self.con_flows.clear();
+        self.con_flows.resize(end, 0);
+        for f in 0..self.alloc.len() {
+            for k in self.flow_off[f]..self.flow_off[f + 1] {
+                let c = self.slot[self.flow_cons[k]];
+                self.flow_cons[k] = c;
+                self.con_flows[self.counts[c]] = f;
+                self.counts[c] += 1;
+            }
+        }
+    }
+
+    /// Scales guarantees down where over-admitted, constraint by
+    /// constraint in ascending order, then charges the (scaled)
+    /// guarantees against each constraint's capacity.
+    fn scale_guarantees(&mut self) {
+        for c in 0..self.remaining.len() {
+            let flows = &self.con_flows[self.con_off[c]..self.con_off[c + 1]];
+            let capacity = self.remaining[c];
+            let committed: f64 = flows.iter().map(|&f| self.alloc[f]).sum();
+            if committed > capacity {
+                let scale = capacity / committed;
+                for &f in flows {
+                    self.alloc[f] *= scale;
+                }
+            }
+        }
+        for c in 0..self.remaining.len() {
+            let flows = &self.con_flows[self.con_off[c]..self.con_off[c + 1]];
+            let r = &mut self.remaining[c];
+            for &f in flows {
+                *r -= self.alloc[f];
+            }
+            *r = r.max(0.0);
+        }
+    }
+
+    /// Progressive filling from the (scaled) guarantees.
+    fn fill(&mut self) {
+        // Active = can still grow: below max and on no saturated
+        // constraint. Flows with no constraints get their cap at once
+        // (nothing to share against); infinite caps add nothing.
+        self.active.clear();
+        self.n_active = 0;
+        for f in 0..self.alloc.len() {
+            let unconstrained = self.flow_off[f] == self.flow_off[f + 1];
+            let active = !unconstrained && self.alloc[f] + EPS < self.max[f];
+            self.active.push(active);
+            self.n_active += usize::from(active);
+            if unconstrained && self.max[f].is_finite() {
+                self.alloc[f] = self.max[f];
+            }
+        }
+        self.counts.clear();
+        self.counts.resize(self.remaining.len(), 0);
+        for f in 0..self.alloc.len() {
+            if self.active[f] {
+                for &c in &self.flow_cons[self.flow_off[f]..self.flow_off[f + 1]] {
+                    self.counts[c] += 1;
+                }
+            }
+        }
+
+        self.freeze_saturated();
+        while self.n_active > 0 {
+            // Largest uniform increment before a constraint saturates
+            // or a flow hits its cap.
+            let mut delta = f64::INFINITY;
+            for (&r, &n) in self.remaining.iter().zip(&self.counts) {
+                if n > 0 {
+                    delta = delta.min(r / n as f64);
+                }
+            }
+            for f in 0..self.alloc.len() {
+                if self.active[f] {
+                    delta = delta.min(self.max[f] - self.alloc[f]);
+                }
+            }
+            if !delta.is_finite() || delta <= 0.0 {
+                break;
+            }
+
+            for (r, &n) in self.remaining.iter_mut().zip(&self.counts) {
+                for _ in 0..n {
+                    *r -= delta;
+                }
+                *r = r.max(0.0);
+            }
+            for f in 0..self.alloc.len() {
+                if self.active[f] {
+                    self.alloc[f] += delta;
+                    if self.alloc[f] + EPS >= self.max[f] {
+                        self.deactivate(f);
+                    }
+                }
+            }
+            self.freeze_saturated();
+        }
+    }
+
+    /// Freezes every active flow on a saturated constraint: it has no
+    /// growth room left.
+    fn freeze_saturated(&mut self) {
+        for c in 0..self.remaining.len() {
+            if self.remaining[c] <= EPS && self.counts[c] > 0 {
+                for k in self.con_off[c]..self.con_off[c + 1] {
+                    let f = self.con_flows[k];
+                    if self.active[f] {
+                        self.deactivate(f);
+                    }
+                }
+            }
+        }
+    }
+
+    fn deactivate(&mut self, f: usize) {
+        self.active[f] = false;
+        self.n_active -= 1;
+        for &c in &self.flow_cons[self.flow_off[f]..self.flow_off[f + 1]] {
+            self.counts[c] -= 1;
+        }
+    }
+}
+
+/// The dense progressive-filling loop the solver replaced: every pass
+/// runs over all constraints and all flows. Kept as the reference the
+/// bit-identity tests compare [`Solver`] against.
+#[cfg(test)]
+pub(crate) fn dense_max_min_allocation(
+    constraints: &[CapacityConstraint],
+    flows: &[FlowDemand],
+) -> Vec<f64> {
     let mut alloc: Vec<f64> = flows.iter().map(|f| f.min_rate_bps.min(f.max_rate_bps)).collect();
 
     // De-duplicate each flow's constraint list once up front.
@@ -352,6 +614,80 @@ mod tests {
                 // bottlenecked by a saturated constraint.
                 let sat = d.constraints.iter().any(|&c| used[c] >= 9.0 - 1e-3);
                 prop_assert!(sat, "flow {fi} rate {} not bottlenecked: used={used:?}", alloc[fi]);
+            }
+        }
+
+        /// Bit-identity: the sparse solver returns exactly the dense
+        /// loop's rates (`f64::to_bits`), both through the public
+        /// wrapper and through one solver reused across tables of
+        /// different shapes. Tables mix zero, finite and infinite
+        /// capacities, constraints no flow uses, best-effort and
+        /// guaranteed flows (over-admitted ones included), finite and
+        /// infinite caps, and duplicate and empty constraint lists.
+        #[test]
+        fn prop_sparse_matches_dense_bit_for_bit(
+            tables in proptest::collection::vec(
+                (
+                    1usize..9,
+                    proptest::collection::vec((0u8..4, 0.0f64..20.0), 10),
+                    proptest::collection::vec(
+                        (
+                            proptest::collection::vec(0usize..12, 0..6),
+                            0u8..4,
+                            0.0f64..15.0,
+                            0u8..3,
+                            0.1f64..30.0,
+                        ),
+                        0..10,
+                    ),
+                ),
+                1..4,
+            ),
+        ) {
+            let mut solver = Solver::default();
+            for (ncons, cap_draws, flow_draws) in &tables {
+                // Two trailing constraints that no flow can name.
+                let constraints: Vec<CapacityConstraint> = cap_draws[..ncons + 2]
+                    .iter()
+                    .map(|&(kind, v)| CapacityConstraint {
+                        capacity_bps: match kind {
+                            0 => 0.0,
+                            1 => f64::INFINITY,
+                            _ => v,
+                        },
+                    })
+                    .collect();
+                let demands: Vec<FlowDemand> = flow_draws
+                    .iter()
+                    .map(|(cs, min_kind, min, max_kind, max)| {
+                        let max = if *max_kind == 0 { f64::INFINITY } else { *max };
+                        let min = match min_kind {
+                            0 => 0.0,
+                            1 => *min,
+                            2 => *min * 4.0,
+                            _ => max,
+                        };
+                        flow(&cs.iter().map(|&c| c % ncons).collect::<Vec<_>>(), min, max)
+                    })
+                    .collect();
+                let dense = dense_max_min_allocation(&constraints, &demands);
+                let bits = |v: &[f64]| v.iter().map(|r| r.to_bits()).collect::<Vec<u64>>();
+                let wrapper = max_min_allocation(&constraints, &demands);
+                prop_assert!(bits(&wrapper) == bits(&dense), "wrapper {wrapper:?} dense {dense:?}");
+                let capacities: Vec<f64> = constraints.iter().map(|c| c.capacity_bps).collect();
+                let lists: Vec<Vec<ConstraintIx>> = demands
+                    .iter()
+                    .map(|d| sorted_unique(d.constraints.iter().copied()))
+                    .collect();
+                solver.solve(
+                    &capacities,
+                    demands
+                        .iter()
+                        .zip(&lists)
+                        .map(|(d, cs)| (cs.as_slice(), d.min_rate_bps, d.max_rate_bps)),
+                );
+                let reused = solver.rates();
+                prop_assert!(bits(reused) == bits(&dense), "reused {reused:?} dense {dense:?}");
             }
         }
     }

@@ -11,7 +11,7 @@
 //! [`NetworkSim::run_until`]: advance to `t`, harvesting any flow
 //! completions on the way, then inject the next external event.
 
-use crate::fairshare::{max_min_allocation, CapacityConstraint, FlowDemand};
+use crate::fairshare::{sorted_unique, ConstraintIx, Solver};
 use crate::flow::{FlowCompletion, FlowId, FlowSpec, ResourceId};
 use crate::snmp_rec::SnmpRecorder;
 use gvc_engine::{SimSpan, SimTime};
@@ -81,6 +81,9 @@ const DONE_EPS_BYTES: f64 = 0.5;
 
 struct FlowState {
     spec: FlowSpec,
+    /// The flow's route links and resources as solver constraints,
+    /// sorted and de-duplicated once at injection.
+    constraints: Vec<ConstraintIx>,
     remaining_bytes: f64,
     rate_bps: f64,
     peak_rate_bps: f64,
@@ -107,7 +110,12 @@ struct FlowState {
 /// ```
 pub struct NetworkSim {
     graph: Graph,
-    resources: Vec<f64>,
+    /// The solver's constraint table: every link's capacity (indexed
+    /// by `LinkId`), then every resource's. Kept in step by the
+    /// capacity setters.
+    capacities: Vec<f64>,
+    /// Reused by every recomputation.
+    solver: Solver,
     flows: BTreeMap<FlowId, FlowState>,
     next_id: u64,
     now: SimTime,
@@ -133,9 +141,11 @@ impl NetworkSim {
     /// A simulator over `graph` whose `SimTime::ZERO` maps to
     /// `epoch_unix_us` (unix microseconds, UTC).
     pub fn new(graph: Graph, epoch_unix_us: i64) -> NetworkSim {
+        let capacities = graph.links().iter().map(|l| l.capacity_bps).collect();
         NetworkSim {
             graph,
-            resources: Vec::new(),
+            capacities,
+            solver: Solver::default(),
             flows: BTreeMap::new(),
             next_id: 0,
             now: SimTime::ZERO,
@@ -187,15 +197,15 @@ impl NetworkSim {
     /// Panics on non-positive capacity.
     pub fn add_resource(&mut self, capacity_bps: f64) -> ResourceId {
         assert!(capacity_bps > 0.0, "resource capacity must be positive");
-        self.resources.push(capacity_bps);
-        ResourceId((self.resources.len() - 1) as u32)
+        self.capacities.push(capacity_bps);
+        ResourceId((self.capacities.len() - 1 - self.graph.link_count()) as u32)
     }
 
     /// Changes a resource's capacity (e.g. the NCAR frost cluster
     /// shrinking from 3 servers to 1 across 2009–2011).
     pub fn set_resource_capacity(&mut self, id: ResourceId, capacity_bps: f64) {
         assert!(capacity_bps > 0.0, "resource capacity must be positive");
-        self.resources[id.0 as usize] = capacity_bps;
+        self.capacities[self.graph.link_count() + id.0 as usize] = capacity_bps;
         self.rates_dirty = true;
     }
 
@@ -206,6 +216,7 @@ impl NetworkSim {
     pub fn set_link_capacity(&mut self, link: LinkId, capacity_bps: f64) -> bool {
         let ok = self.graph.set_link_capacity(link, capacity_bps);
         if ok {
+            self.capacities[link.0 as usize] = self.graph.link(link).capacity_bps;
             self.rates_dirty = true;
             if let Some(t) = &self.telemetry {
                 t.tracer.emit_with(|| {
@@ -294,17 +305,29 @@ impl NetworkSim {
     /// Injects `spec` at the current time.
     ///
     /// # Panics
-    /// Panics on a non-positive payload or an unknown resource id.
+    /// Panics on a non-positive payload, an unknown link or an unknown
+    /// resource id.
     pub fn add_flow(&mut self, spec: FlowSpec) -> FlowId {
         assert!(spec.size_bytes > 0.0, "flow payload must be positive");
-        for r in &spec.resources {
-            assert!((r.0 as usize) < self.resources.len(), "unknown resource {r:?}");
+        let n_links = self.graph.link_count();
+        for l in &spec.route {
+            assert!((l.0 as usize) < n_links, "unknown link {l:?}");
         }
+        for r in &spec.resources {
+            assert!(n_links + (r.0 as usize) < self.capacities.len(), "unknown resource {r:?}");
+        }
+        let constraints = sorted_unique(
+            spec.route
+                .iter()
+                .map(|l| l.0 as usize)
+                .chain(spec.resources.iter().map(|r| n_links + r.0 as usize)),
+        );
         let id = FlowId(self.next_id);
         self.next_id += 1;
         self.flows.insert(
             id,
             FlowState {
+                constraints,
                 remaining_bytes: spec.size_bytes,
                 spec,
                 rate_bps: 0.0,
@@ -362,33 +385,14 @@ impl NetworkSim {
                 TraceEvent::new(self.now.micros() as i64, "net.fairshare").field("flows", n_flows)
             });
         }
-        let n_links = self.graph.link_count();
-        let mut constraints: Vec<CapacityConstraint> = self
-            .graph
-            .links()
-            .iter()
-            .map(|l| CapacityConstraint { capacity_bps: l.capacity_bps })
-            .collect();
-        constraints.extend(self.resources.iter().map(|&c| CapacityConstraint { capacity_bps: c }));
-
-        let ids: Vec<FlowId> = self.flows.keys().copied().collect();
-        let demands: Vec<FlowDemand> = ids
-            .iter()
-            .map(|id| {
-                let f = &self.flows[id];
-                let mut cs: Vec<usize> = f.spec.route.iter().map(|l| l.0 as usize).collect();
-                cs.extend(f.spec.resources.iter().map(|r| n_links + r.0 as usize));
-                FlowDemand {
-                    constraints: cs,
-                    min_rate_bps: f.spec.min_rate_bps,
-                    max_rate_bps: f.spec.max_rate_bps,
-                }
-            })
-            .collect();
-        let alloc = max_min_allocation(&constraints, &demands);
+        self.solver.solve(
+            &self.capacities,
+            self.flows
+                .values()
+                .map(|f| (f.constraints.as_slice(), f.spec.min_rate_bps, f.spec.max_rate_bps)),
+        );
         let now = self.now;
-        for (id, rate) in ids.into_iter().zip(alloc) {
-            let Some(f) = self.flows.get_mut(&id) else { continue };
+        for (f, &rate) in self.flows.values_mut().zip(self.solver.rates()) {
             let changed = (f.rate_bps - rate).abs() > 1e-6;
             f.rate_bps = rate;
             f.peak_rate_bps = f.peak_rate_bps.max(rate);
@@ -844,6 +848,95 @@ mod tests {
         g.add_node("x", NodeKind::Host);
         let sim2 = NetworkSim::new(g, 1_000_000);
         assert_eq!(sim2.to_unix_us(SimTime::from_secs(1)), 2_000_000);
+    }
+
+    /// Asserts the simulator's current rates equal, bit for bit, a
+    /// fresh dense solve over the graph's link capacities and
+    /// `resources`; returns the rates' bits.
+    fn assert_rates_match_dense(sim: &mut NetworkSim, resources: &[f64]) -> Vec<u64> {
+        use crate::fairshare::{dense_max_min_allocation, CapacityConstraint, FlowDemand};
+        sim.recompute_if_dirty();
+        let cap = |capacity_bps| CapacityConstraint { capacity_bps };
+        let mut constraints: Vec<CapacityConstraint> =
+            sim.graph().links().iter().map(|l| cap(l.capacity_bps)).collect();
+        let n_links = constraints.len();
+        constraints.extend(resources.iter().map(|&c| cap(c)));
+        let demands: Vec<FlowDemand> = sim
+            .flows
+            .values()
+            .map(|f| FlowDemand {
+                constraints: f
+                    .spec
+                    .route
+                    .iter()
+                    .map(|l| l.0 as usize)
+                    .chain(f.spec.resources.iter().map(|r| n_links + r.0 as usize))
+                    .collect(),
+                min_rate_bps: f.spec.min_rate_bps,
+                max_rate_bps: f.spec.max_rate_bps,
+            })
+            .collect();
+        let dense: Vec<u64> =
+            dense_max_min_allocation(&constraints, &demands).iter().map(|r| r.to_bits()).collect();
+        let got: Vec<u64> = sim.flows.values().map(|f| f.rate_bps.to_bits()).collect();
+        assert_eq!(got, dense);
+        got
+    }
+
+    #[test]
+    fn capacity_changes_mid_run_match_a_fresh_dense_solve() {
+        let mut g = Graph::new();
+        let a = g.add_node("a", NodeKind::Host);
+        let b = g.add_node("b", NodeKind::Host);
+        let c = g.add_node("c", NodeKind::Host);
+        let (ab, _) = g.add_duplex_link(a, b, 10e9, 0.01);
+        let (ac, _) = g.add_duplex_link(a, c, 10e9, 0.01);
+        let mut sim = NetworkSim::new(g, 0);
+        let mut resources = vec![3e9];
+        let r0 = sim.add_resource(resources[0]);
+        sim.add_flow(FlowSpec::best_effort(vec![ab], 1e10).with_resources(vec![r0]));
+        // A repeated link counts once.
+        sim.add_flow(FlowSpec::best_effort(vec![ac, ac], 1e10).with_resources(vec![r0, r0]));
+        sim.add_flow(FlowSpec::best_effort(vec![ab], 1e10).with_guarantee(1e9));
+        let mut last = assert_rates_match_dense(&mut sim, &resources);
+
+        sim.run_until(SimTime::from_secs(1));
+        resources.push(2e9);
+        let r1 = sim.add_resource(resources[1]);
+        sim.add_flow(FlowSpec::best_effort(vec![ac], 1e10).with_resources(vec![r1]).with_cap(5e9));
+        let mut step = |sim: &mut NetworkSim, resources: &[f64]| {
+            let now = assert_rates_match_dense(sim, resources);
+            assert_ne!(now, last, "every step here moves some rate");
+            last = now;
+        };
+        step(&mut sim, &resources);
+
+        resources[0] = 1e9;
+        sim.set_resource_capacity(r0, resources[0]);
+        step(&mut sim, &resources);
+
+        resources[1] = 0.5e9;
+        sim.set_resource_capacity(r1, resources[1]);
+        step(&mut sim, &resources);
+
+        assert!(sim.set_link_capacity(ab, 1.5e9));
+        step(&mut sim, &resources);
+
+        assert!(sim.set_link_capacity(ac, 0.0));
+        step(&mut sim, &resources);
+
+        sim.run_until(SimTime::from_secs(2));
+        assert!(sim.set_link_capacity(ac, 4e9));
+        step(&mut sim, &resources);
+        let done = sim.drain(SimTime::from_secs(1000));
+        assert_eq!(done.len(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown link")]
+    fn unknown_link_panics_at_injection() {
+        let (mut sim, _) = sim_one_link();
+        sim.add_flow(FlowSpec::best_effort(vec![LinkId(99)], 1.0));
     }
 
     #[test]
